@@ -49,6 +49,20 @@
 //! drops the departed flow's jitters and invalidates only the cached
 //! reports of flows within the departed flow's shard that its departure
 //! can influence; everything else stays frozen.
+//! [`AdmissionController::release_batch`] does the same for many flows
+//! with one closure and one partition rebuild per touched shard.
+//!
+//! # All-or-nothing admission
+//!
+//! The survivability sweep re-admits a failure's released shards at once
+//! and only needs per-request decisions when they do not all fit.
+//! `AdmissionController::admit_all` (crate-internal) serves it with **one
+//! cold holistic solve** over the closed trial set — the union of the
+//! shards any request's route touches, plus every request.  A schedulable
+//! trial commits every request under the ids `request_batch` would have
+//! reserved and folds the run into the warm cache; anything else leaves
+//! the controller untouched and consumes no id, so the caller can replay
+//! the same requests through `request_batch` to learn which are rejected.
 
 use crate::config::AnalysisConfig;
 use crate::context::{AnalysisContext, JitterMap};
@@ -542,60 +556,6 @@ impl AdmissionController {
         self.accepted.len()
     }
 
-    /// Ask to admit `flow` on `route` at `priority` with the default (plain
-    /// UDP) packetization.
-    #[deprecated(note = "use `request_batch` with an `AdmissionRequest`")]
-    pub fn request(
-        &mut self,
-        flow: GmfFlow,
-        route: Route,
-        priority: Priority,
-    ) -> Result<AdmissionDecision, AnalysisError> {
-        self.one_request(AdmissionRequest::new(flow, route, priority))
-    }
-
-    /// Ask to admit every flow of `requests` in order, stopping at the
-    /// first structural error.  Rejections do not stop the batch (each
-    /// later trial simply runs against the set accepted so far).
-    #[deprecated(note = "use `request_batch` with `AdmissionRequest`s")]
-    pub fn request_all(
-        &mut self,
-        requests: impl IntoIterator<Item = (GmfFlow, Route, Priority)>,
-    ) -> Result<Vec<AdmissionDecision>, AnalysisError> {
-        requests
-            .into_iter()
-            .map(|(flow, route, priority)| {
-                self.one_request(AdmissionRequest::new(flow, route, priority))
-            })
-            .collect()
-    }
-
-    /// Ask to admit `flow` with an explicit packetization configuration.
-    #[deprecated(note = "use `request_batch` with \
-                         `AdmissionRequest::with_encapsulation`")]
-    pub fn request_with_encapsulation(
-        &mut self,
-        flow: GmfFlow,
-        route: Route,
-        priority: Priority,
-        encapsulation: EncapsulationConfig,
-    ) -> Result<AdmissionDecision, AnalysisError> {
-        self.one_request(
-            AdmissionRequest::new(flow, route, priority).with_encapsulation(encapsulation),
-        )
-    }
-
-    /// A one-element batch: the body behind the deprecated single-request
-    /// shims.
-    fn one_request(
-        &mut self,
-        request: AdmissionRequest,
-    ) -> Result<AdmissionDecision, AnalysisError> {
-        let mut decisions = self.request_batch([request])?;
-        // tidy-allow: unwrap invariant: a one-element batch yields one decision
-        Ok(decisions.pop().expect("one decision per request"))
-    }
-
     /// Ask to admit a batch of candidates, returning one decision per
     /// request in submission order.
     ///
@@ -629,13 +589,8 @@ impl AdmissionController {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        // Validate every route against the topology up front so
-        // structural errors surface as errors, not rejections — and
-        // before any flow id is consumed.
-        for request in &requests {
-            Route::new(&self.topology, request.route.nodes().to_vec())
-                .map_err(AnalysisError::Net)?;
-        }
+        // Validate up front, before any flow id is consumed.
+        self.validate_routes(&requests)?;
         let base = self.accepted.reserve_ids(requests.len());
         let bindings: Vec<FlowBinding> = requests
             .into_iter()
@@ -646,6 +601,16 @@ impl AdmissionController {
             AdmissionMode::Cold => self.batch_cold(bindings),
             AdmissionMode::Warm => self.batch_warm(bindings),
         }
+    }
+
+    /// Check every request's route against the topology, so structural
+    /// errors surface as errors, not rejections.
+    fn validate_routes(&self, requests: &[AdmissionRequest]) -> Result<(), AnalysisError> {
+        for request in requests {
+            Route::new(&self.topology, request.route.nodes().to_vec())
+                .map_err(AnalysisError::Net)?;
+        }
+        Ok(())
     }
 
     /// The cold batch path: sequential global trials, exactly the seed
@@ -730,16 +695,7 @@ impl AdmissionController {
             .map(|indices| {
                 let mut members = BTreeSet::new();
                 for &i in &indices {
-                    for &shard in &touched_shards[i] {
-                        members.extend(
-                            self.partition
-                                .shard_flows(shard)
-                                // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
-                                .expect("touched shard exists")
-                                .iter()
-                                .copied(),
-                        );
-                    }
+                    members.extend(self.partition.members_of(&touched_shards[i]));
                 }
                 LaneInput { indices, members }
             })
@@ -859,14 +815,7 @@ impl AdmissionController {
             // route touches (within the lane's rolled-forward state),
             // plus the candidate itself.
             let touched = lane_partition.shards_touching_route(&binding.route);
-            let mut trial = lane_set.subset(touched.iter().flat_map(|&shard| {
-                lane_partition
-                    .shard_flows(shard)
-                    // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
-                    .expect("touched shard exists")
-                    .iter()
-                    .copied()
-            }));
+            let mut trial = lane_set.subset(lane_partition.members_of(&touched));
             if let Err(e) = trial.insert(binding.clone()) {
                 out.error = Some((index, AnalysisError::Net(e)));
                 break;
@@ -973,6 +922,96 @@ impl AdmissionController {
         out
     }
 
+    /// Admit every request at once, or none: one cold holistic solve over
+    /// the *closed* trial set — the union of the shards any request's
+    /// route touches, plus every request — instead of one trial per
+    /// request.  The survivability sweep's re-admission path.
+    ///
+    /// Routes are validated like [`AdmissionController::request_batch`]
+    /// (an invalid route is an error, before anything else happens).  If
+    /// the trial is schedulable, request `i` is registered under id
+    /// `base + i` — exactly the ids `request_batch` would reserve — the
+    /// run's jitters and reports replace the trial flows' warm-cache
+    /// entries, and the result carries `Some(base)`.  Otherwise (a miss,
+    /// an abort or an analysis error) it carries `None`, the controller
+    /// is untouched and no id is consumed, so a following `request_batch`
+    /// of the same requests decides them one by one under the same ids.
+    ///
+    /// The trial set is closed under link sharing, so its cold analysis
+    /// restricted to any member equals the analysis of that member's
+    /// final shard: when every request fits, the outcome is byte-identical
+    /// to `request_batch` accepting them all.  The returned cost is the
+    /// one solve's (`shard` is the trial's smallest id — `base` when the
+    /// batch is empty — and `shard_flows` its size).
+    pub(crate) fn admit_all(
+        &mut self,
+        requests: &[AdmissionRequest],
+    ) -> Result<(Option<FlowId>, DecisionCost), AnalysisError> {
+        self.validate_routes(requests)?;
+        let mut members = BTreeSet::new();
+        for request in requests {
+            let touched = self.partition.shards_touching_route(&request.route);
+            members.extend(self.partition.members_of(&touched));
+        }
+        // The trial inherits the id counter, so reserving on it names the
+        // ids the controller would hand out without consuming them.
+        let mut trial = self.accepted.subset(members);
+        let base = trial.reserve_ids(requests.len());
+        let bindings: Vec<FlowBinding> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| request.clone().into_binding(FlowId(base.0 + i)))
+            .collect();
+        for binding in &bindings {
+            trial.insert(binding.clone()).map_err(AnalysisError::Net)?;
+        }
+        let mut cost = DecisionCost {
+            rounds: 0,
+            flow_analyses: 0,
+            warm: false,
+            shard: ShardId(trial.ids().next().unwrap_or(base)),
+            shard_flows: trial.len(),
+        };
+        if trial.is_empty() {
+            return Ok((Some(base), cost));
+        }
+        let run = match AnalysisContext::new(&self.topology, &trial)
+            .and_then(|ctx| iterate(&ctx, &self.config))
+        {
+            Ok(run) => run,
+            Err(_) => return Ok((None, cost)),
+        };
+        cost.rounds = run.report.iterations;
+        cost.flow_analyses = run.flow_analyses;
+        let jitters = match run.jitters {
+            Some(jitters) if run.report.schedulable => jitters,
+            _ => return Ok((None, cost)),
+        };
+
+        self.accepted.reserve_ids(requests.len());
+        for binding in bindings {
+            self.partition.insert(&binding);
+            self.accepted
+                .insert(binding)
+                // tidy-allow: unwrap invariant: the ids were reserved for this batch
+                .expect("batch ids are reserved and unique");
+        }
+        if self.mode == AdmissionMode::Warm {
+            let mut cache = self.cache.take().unwrap_or_default();
+            for flow in trial.ids() {
+                cache.jitters.remove_flow(flow);
+            }
+            for (&(flow, resource), values) in jitters.iter() {
+                cache.jitters.insert_raw(flow, resource, values.clone());
+            }
+            for flow in run.report.flows {
+                cache.reports.insert(flow.flow, Arc::new(flow));
+            }
+            self.cache = Some(cache);
+        }
+        Ok((Some(base), cost))
+    }
+
     /// Release (tear down) an accepted flow — the departure half of the
     /// admission protocol.  Returns the removed binding.
     ///
@@ -990,7 +1029,7 @@ impl AdmissionController {
                 .shard_of(id)
                 .and_then(|shard| self.partition.shard_flows(shard))
                 .map(|members| self.accepted.subset(members.iter().copied()))
-                .and_then(|shard_set| affected_flows(&shard_set, id))
+                .and_then(|shard_set| affected_flows(&shard_set, &[id]))
         } else {
             None
         };
@@ -1023,6 +1062,12 @@ impl AdmissionController {
     /// what the sequential releases would invalidate step by step, and
     /// invalidating more only costs re-verification, never soundness.
     ///
+    /// The work is done once per touched shard, not once per id: a shard
+    /// released whole invalidates exactly its members (each member is in
+    /// its own closure), a partly released shard takes one closure from
+    /// all its departing flows together, and the partition rebuilds each
+    /// touched shard once.
+    ///
     /// The batch is atomic: every id must name a distinct accepted flow,
     /// or the whole call fails with [`gmf_net::NetError::UnknownFlow`]
     /// before anything is removed.  Returns the removed bindings in the
@@ -1036,39 +1081,19 @@ impl AdmissionController {
         }
         // Compute the invalidation union on the *pre-removal* shards: the
         // departing flows' interference edges still exist there.
-        let affected: Option<BTreeSet<FlowId>> = if self.cache.is_some() {
-            let mut union = BTreeSet::new();
-            let mut complete = true;
-            for &id in ids {
-                let closure = self
-                    .partition
-                    .shard_of(id)
-                    .and_then(|shard| self.partition.shard_flows(shard))
-                    .map(|members| self.accepted.subset(members.iter().copied()))
-                    .and_then(|shard_set| affected_flows(&shard_set, id));
-                match closure {
-                    Some(closure) => union.extend(closure),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            complete.then_some(union)
+        let affected = if self.cache.is_some() {
+            self.release_closure(ids)
         } else {
             None
         };
-        let mut bindings = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let binding = self.accepted.remove(id).map_err(AnalysisError::Net)?;
-            self.partition.remove(&binding, &self.accepted);
-            bindings.push(binding);
-        }
-        if self.cache.is_some() {
+        let bindings = ids
+            .iter()
+            .map(|&id| self.accepted.remove(id).map_err(AnalysisError::Net))
+            .collect::<Result<Vec<FlowBinding>, AnalysisError>>()?;
+        self.partition.remove_batch(&bindings, &self.accepted);
+        if let Some(cache) = self.cache.as_mut() {
             match affected {
                 Some(affected) => {
-                    // tidy-allow: unwrap invariant: checked is_some above
-                    let cache = self.cache.as_mut().expect("cache checked above");
                     for &id in ids {
                         cache.jitters.remove_flow(id);
                     }
@@ -1082,6 +1107,29 @@ impl AdmissionController {
             }
         }
         Ok(bindings)
+    }
+
+    /// The union of the departing flows' invalidation closures, one
+    /// pre-removal shard at a time; `None` without dependency information.
+    fn release_closure(&self, ids: &[FlowId]) -> Option<BTreeSet<FlowId>> {
+        let mut seeds_by_shard: BTreeMap<ShardId, Vec<FlowId>> = BTreeMap::new();
+        for &id in ids {
+            seeds_by_shard
+                .entry(self.partition.shard_of(id)?)
+                .or_default()
+                .push(id);
+        }
+        let mut union = BTreeSet::new();
+        for (shard, seeds) in seeds_by_shard {
+            let members = self.partition.shard_flows(shard)?;
+            if seeds.len() == members.len() {
+                union.extend(members.iter().copied());
+            } else {
+                let shard_set = self.accepted.subset(members.iter().copied());
+                union.extend(affected_flows(&shard_set, &seeds)?);
+            }
+        }
+        Some(union)
     }
 
     /// Swap the managed topology for a new one *without* invalidating the
@@ -1255,7 +1303,10 @@ fn warm_shard_trial(
 mod tests {
     use super::*;
     use gmf_model::{paper_figure3_flow, voip_flow, Time, VoiceCodec};
-    use gmf_net::{paper_figure1, shortest_path};
+    use gmf_net::{paper_figure1, random_tree, shortest_path, LinkProfile, SwitchConfig};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn controller() -> (AdmissionController, gmf_net::PaperNetwork) {
         let (t, net) = paper_figure1();
@@ -1282,6 +1333,140 @@ mod tests {
             .unwrap()
             .pop()
             .unwrap()
+    }
+
+    /// A random network in the style of the churn and metro workloads: a
+    /// random tree of six switches with two end hosts each.
+    fn random_network(rng: &mut ChaCha8Rng) -> (Topology, Vec<NodeId>) {
+        let link = LinkProfile::ethernet_100m();
+        let (t, _, hosts) = random_tree(rng, 6, 2, link, link, SwitchConfig::paper());
+        (t, hosts)
+    }
+
+    /// `n` voice calls between random host pairs at random priorities,
+    /// with deadlines drawn from `deadline_ms`.
+    fn random_requests(
+        rng: &mut ChaCha8Rng,
+        t: &Topology,
+        hosts: &[NodeId],
+        n: usize,
+        deadline_ms: std::ops::Range<f64>,
+    ) -> Vec<AdmissionRequest> {
+        (0..n)
+            .map(|i| {
+                let src = rng.gen_range(0..hosts.len());
+                let dst = (src + rng.gen_range(1..hosts.len())) % hosts.len();
+                let deadline = Time::from_millis(rng.gen_range(deadline_ms.clone()));
+                AdmissionRequest::new(
+                    voip_flow(
+                        &format!("call{i}"),
+                        VoiceCodec::G711,
+                        deadline,
+                        Time::from_millis(0.5),
+                    ),
+                    shortest_path(t, hosts[src], hosts[dst]).unwrap(),
+                    Priority(rng.gen_range(1..8)),
+                )
+            })
+            .collect()
+    }
+
+    fn cache_snapshot(ctl: &AdmissionController) -> Vec<(FlowId, FlowReport)> {
+        ctl.cached_reports()
+            .map(|(id, report)| (id, report.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn admit_all_matches_sequential_admission() {
+        let (mut admitted_batches, mut refused_batches) = (0, 0);
+        for seed in 0..32u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (t, hosts) = random_network(&mut rng);
+            let mut base = AdmissionController::new(t.clone(), AnalysisConfig::paper());
+            base.request_batch(random_requests(&mut rng, &t, &hosts, 10, 20.0..60.0))
+                .unwrap();
+            // Tear one whole shard down first, as a failure sweep does.
+            if let Some(&shard) = base.partition().shards().first() {
+                let members = base.partition().shard_flows(shard).unwrap().to_vec();
+                base.release_batch(&members).unwrap();
+            }
+            let batch = random_requests(&mut rng, &t, &hosts, 6, 0.6..30.0);
+            let mut sequential = base.clone();
+            let decisions = sequential.request_batch(batch.clone()).unwrap();
+            let mut joint = base.clone();
+            let (admitted, cost) = joint.admit_all(&batch).unwrap();
+            assert!(cost.rounds >= 1 && cost.flow_analyses >= batch.len());
+            if decisions.iter().all(AdmissionDecision::is_accepted) {
+                admitted_batches += 1;
+                assert_eq!(admitted, Some(decisions[0].id()), "seed {seed}");
+                assert_eq!(joint.accepted(), sequential.accepted(), "seed {seed}");
+                assert_eq!(joint.partition(), sequential.partition(), "seed {seed}");
+                assert_eq!(cache_snapshot(&joint), cache_snapshot(&sequential));
+            } else {
+                // All or nothing: the controller is untouched and no id
+                // was consumed.
+                refused_batches += 1;
+                assert_eq!(admitted, None, "seed {seed}");
+                assert_eq!(joint.accepted(), base.accepted(), "seed {seed}");
+                assert_eq!(joint.partition(), base.partition(), "seed {seed}");
+                assert_eq!(cache_snapshot(&joint), cache_snapshot(&base));
+                let mut untouched = base.clone();
+                assert_eq!(
+                    joint.request_batch(batch.clone()).unwrap(),
+                    untouched.request_batch(batch).unwrap()
+                );
+            }
+        }
+        assert!(
+            admitted_batches > 0 && refused_batches > 0,
+            "{admitted_batches} admitted, {refused_batches} refused"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Per-shard release bookkeeping invalidates exactly the union of
+        /// the per-flow closures, and keeps the partition exact.
+        #[test]
+        fn release_batch_invalidates_the_union_of_per_flow_closures(seed in 0u64..1_000_000) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let (t, hosts) = random_network(&mut rng);
+            let mut ctl = AdmissionController::new(t.clone(), AnalysisConfig::paper());
+            ctl.request_batch(random_requests(&mut rng, &t, &hosts, 14, 20.0..60.0))
+                .unwrap();
+            // Release some shards whole, some in part, some not at all,
+            // in a shuffled order.
+            let mut ids: Vec<FlowId> = Vec::new();
+            for shard in ctl.partition().shards() {
+                let members = ctl.partition().shard_flows(shard).unwrap();
+                match rng.gen_range(0..3) {
+                    0 => ids.extend_from_slice(members),
+                    1 => ids.extend(members.iter().copied().filter(|_| rng.gen_bool(0.5))),
+                    _ => {}
+                }
+            }
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.gen_range(0..=i));
+            }
+            // The oracle: one closure per released id, on its pre-removal
+            // shard.
+            let mut expected = BTreeSet::new();
+            for &id in &ids {
+                let shard = ctl.partition().shard_of(id).unwrap();
+                let members = ctl.partition().shard_flows(shard).unwrap();
+                let shard_set = ctl.accepted().subset(members.iter().copied());
+                expected.extend(affected_flows(&shard_set, &[id]).unwrap());
+            }
+            let before: BTreeSet<FlowId> = ctl.cached_reports().map(|(id, _)| id).collect();
+            prop_assert!(expected.is_subset(&before));
+            ctl.release_batch(&ids).unwrap();
+            let after: BTreeSet<FlowId> = ctl.cached_reports().map(|(id, _)| id).collect();
+            let invalidated: BTreeSet<FlowId> = before.difference(&after).copied().collect();
+            prop_assert_eq!(invalidated, expected);
+            prop_assert_eq!(ctl.partition(), &DependencyGraph::new(ctl.accepted()));
+        }
     }
 
     #[test]
@@ -1522,30 +1707,6 @@ mod tests {
 
         // An empty batch is a no-op.
         assert_eq!(batched.request_batch([]).unwrap(), vec![]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_route_through_the_batch_path() {
-        let (mut ctl, net) = controller();
-        let r13 = shortest_path(ctl.topology(), net.hosts[1], net.hosts[3]).unwrap();
-        let r20 = shortest_path(ctl.topology(), net.hosts[2], net.hosts[0]).unwrap();
-        let r32 = shortest_path(ctl.topology(), net.hosts[3], net.hosts[2]).unwrap();
-        let d = ctl.request(voice(20.0), r13, Priority(7)).unwrap();
-        assert!(d.is_accepted());
-        assert_eq!(d.id(), FlowId(0));
-        let d = ctl
-            .request_with_encapsulation(voice(25.0), r20, Priority(7), EncapsulationConfig::paper())
-            .unwrap();
-        assert!(d.is_accepted());
-        assert_eq!(d.id(), FlowId(1));
-        let all = ctl
-            .request_all(vec![(voice(25.0), r32, Priority(7))])
-            .unwrap();
-        assert_eq!(all.len(), 1);
-        assert!(all[0].is_accepted());
-        assert_eq!(all[0].id(), FlowId(2));
-        assert_eq!(ctl.n_accepted(), 3);
     }
 
     #[test]

@@ -103,6 +103,24 @@ impl DependencyGraph {
         self.components.members_of(shard.0)
     }
 
+    /// Every member flow of `shards`, shard by shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard id does not name a shard of this partition.
+    pub(crate) fn members_of<'a>(
+        &'a self,
+        shards: &'a [ShardId],
+    ) -> impl Iterator<Item = FlowId> + 'a {
+        shards.iter().flat_map(move |&shard| {
+            self.shard_flows(shard)
+                // tidy-allow: unwrap invariant: callers pass shard ids this partition returned
+                .expect("shard id comes from this partition")
+                .iter()
+                .copied()
+        })
+    }
+
     /// The shards a candidate taking `route` would merge: every shard
     /// with a flow on one of the route's directed links (ascending,
     /// deduplicated).  Empty means the candidate opens a new shard.
@@ -126,6 +144,12 @@ impl DependencyGraph {
     pub fn remove(&mut self, binding: &FlowBinding, remaining: &FlowSet) {
         self.components.remove(binding, remaining);
     }
+
+    /// Record several departures at once, rebuilding each touched shard
+    /// once.  `remaining` is the flow set *after* every removal.
+    pub fn remove_batch(&mut self, departed: &[FlowBinding], remaining: &FlowSet) {
+        self.components.remove_batch(departed, remaining);
+    }
 }
 
 /// The flows whose bounds can change when `seed` joins or leaves `flows` —
@@ -138,7 +162,7 @@ impl DependencyGraph {
 /// Returns `None` when a route is structurally broken (callers fall back
 /// to re-verifying everything).
 pub fn affected_flows(flows: &FlowSet, seed: FlowId) -> Option<BTreeSet<FlowId>> {
-    crate::fixed_point::affected_flows(flows, seed)
+    crate::fixed_point::affected_flows(flows, &[seed])
 }
 
 /// `true` if the jitter-dependency graph of `flows` is acyclic.

@@ -386,14 +386,18 @@ fn edges_have_cycle(edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>) -
 /// of every one of their per-resource analyses is untouched by `seed`, so a
 /// cached converged [`crate::report::FlowReport`] stays valid verbatim.
 ///
+/// Several seeds at once yield the union of their single-seed sets (the
+/// jitter closure distributes over the union of the seeds' nodes), from
+/// one dependency-graph construction.
+///
 /// Returns `None` when a route is structurally broken (the caller falls
 /// back to re-verifying everything).
 pub(crate) fn affected_flows(
     flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
+    seeds: &[gmf_model::FlowId],
 ) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
     let edges = dependency_edges(flows)?;
-    affected_flows_in(flows, seed, &edges)
+    affected_flows_in(flows, seeds, &edges)
 }
 
 /// [`affected_flows`] + acyclicity in one dependency-graph construction —
@@ -408,13 +412,13 @@ pub(crate) fn acyclic_affected_flows(
     if edges_have_cycle(&edges) {
         return None;
     }
-    affected_flows_in(flows, seed, &edges)
+    affected_flows_in(flows, &[seed], &edges)
 }
 
 /// The [`affected_flows`] closure over a prepared edge map.
 fn affected_flows_in(
     flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
+    seeds: &[gmf_model::FlowId],
     edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>,
 ) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
     use std::collections::{BTreeMap, BTreeSet};
@@ -426,12 +430,16 @@ fn affected_flows_in(
         .map(|b| Some((b.id, flow_stages(b)?)))
         .collect::<Option<_>>()?;
 
-    // Closure of the seed flow's own nodes under the dependency edges:
+    // Closure of the seed flows' own nodes under the dependency edges:
     // every (flow, resource) whose jitter value can differ between the
     // with-seed and without-seed fixed points.
-    let mut changed: BTreeSet<DepNode> = stages[&seed]
+    let mut changed: BTreeSet<DepNode> = seeds
         .iter()
-        .map(|&(resource, _)| (seed, resource))
+        .flat_map(|&seed| {
+            stages[&seed]
+                .iter()
+                .map(move |&(resource, _)| (seed, resource))
+        })
         .collect();
     let mut worklist: Vec<DepNode> = changed.iter().copied().collect();
     while let Some(node) = worklist.pop() {
@@ -442,8 +450,8 @@ fn affected_flows_in(
         }
     }
 
-    let mut affected = BTreeSet::new();
-    affected.insert(seed);
+    let seeds: BTreeSet<gmf_model::FlowId> = seeds.iter().copied().collect();
+    let mut affected = seeds.clone();
     for binding in flows.bindings() {
         if affected.contains(&binding.id) {
             continue;
@@ -452,7 +460,7 @@ fn affected_flows_in(
             link_index
                 .flows_on_link(from, to)
                 .iter()
-                .any(|&other| other == seed || changed.contains(&(other, resource)))
+                .any(|&other| seeds.contains(&other) || changed.contains(&(other, resource)))
         });
         if touched {
             affected.insert(binding.id);

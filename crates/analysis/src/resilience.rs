@@ -11,7 +11,7 @@
 //!
 //! A cold answer would re-run the whole holistic analysis once per scenario.
 //! [`SurvivabilityAnalysis`] instead reuses the admission plane's warm
-//! machinery, per scenario:
+//! state, per scenario:
 //!
 //! 1. apply the fault to a scratch copy of the topology and materialise the
 //!    [`gmf_net::SurvivorView`];
@@ -23,31 +23,31 @@
 //!    topology — sound because every retained flow's route provably
 //!    traverses only unchanged hardware, so the warm cache stays valid
 //!    verbatim;
-//! 4. re-admit the released flows in ascending id order through the warm,
-//!    shard-scoped [`AdmissionController::request_batch`] — severed flows
+//! 4. re-admit the released flows in ascending id order — severed flows
 //!    over their shortest-path fallback route
 //!    ([`gmf_net::reroute_severed`]), the rest over their original route;
-//!    stranded flows (no surviving route) stay out.
+//!    stranded flows (no surviving route) stay out.  One cold holistic
+//!    solve (`AdmissionController::admit_all`) verifies them all at once
+//!    over the *trial set*: the survivor shards their routes touch plus
+//!    the re-admitted flows.  Only when that set is not schedulable does
+//!    the sequential [`AdmissionController::request_batch`] run, to name
+//!    the rejected flows in request order.
 //!
 //! # Why incremental equals cold
 //!
 //! The verdict must be byte-identical to a cold [`crate::holistic::analyze`]
-//! of the re-routed survivor set.  Two established properties carry the
-//! argument:
-//!
-//! * **warm == cold per trial** (PRs 3/7, property-tested): every warm
-//!   shard-scoped trial decision and bound is byte-identical to a cold
-//!   analysis of the same trial set;
-//! * **monotonicity in the flow set**: adding a flow never decreases any
-//!   bound, so every subset of a schedulable set is schedulable.
-//!
-//! If the cold survivor set is schedulable, each re-admission's trial set is
-//! a subset of it, hence schedulable — every re-admission is accepted and
-//! the final per-shard state is the cold analysis of the survivor set.  If
-//! every re-admission is accepted, the final accepted set *is* the survivor
-//! set and its per-shard warm analyses certify it schedulable.
-//! Contrapositively both directions agree on "not schedulable", and at least
-//! one re-admission is rejected in that case.
+//! of the re-routed survivor set.  The trial set is closed under link
+//! sharing — every survivor sharing a directed link with a member is a
+//! member — so it is a union of shards of the survivor set, and shards
+//! never influence each other's bounds.  Its cold analysis is therefore
+//! the cold survivor analysis restricted to it, and every retained flow
+//! outside it keeps a cached report that step 2 left exact.  If the trial
+//! set is schedulable, so is the survivor set, and the bounds are the cold
+//! ones.  Otherwise the sequential fallback decides: each of its trials
+//! equals a cold analysis of the same set (warm == cold, property-tested),
+//! and by monotonicity in the flow set every re-admission is accepted iff
+//! the survivor set is schedulable — so at least one is rejected exactly
+//! when the survivor set is not schedulable.
 
 use crate::admission::{AdmissionController, AdmissionRequest, PreloadStats};
 use crate::config::AnalysisConfig;
@@ -176,9 +176,10 @@ pub struct FailureVerdict {
     pub bounds: BTreeMap<FlowId, Vec<Time>>,
     /// Original id → trial id of every re-admitted flow, in request order.
     pub id_map: Vec<(FlowId, FlowId)>,
-    /// Total holistic rounds across the scenario's re-admissions.
+    /// Holistic rounds of the scenario's re-admission: the one joint
+    /// solve, plus every sequential trial when the fallback ran.
     pub rounds: usize,
-    /// Total per-flow pipeline analyses across the re-admissions.
+    /// Per-flow pipeline analyses of the same runs as `rounds`.
     pub flow_analyses: usize,
 }
 
@@ -235,12 +236,12 @@ impl SurvivabilityReport {
             .min()
     }
 
-    /// Total holistic rounds across every scenario's re-admissions.
+    /// Total holistic rounds across every scenario's re-admission runs.
     pub fn total_rounds(&self) -> usize {
         self.verdicts.iter().map(|v| v.rounds).sum()
     }
 
-    /// Total per-flow analyses across every scenario's re-admissions.
+    /// Total per-flow analyses across every scenario's re-admission runs.
     pub fn total_flow_analyses(&self) -> usize {
         self.verdicts.iter().map(|v| v.flow_analyses).sum()
     }
@@ -286,8 +287,9 @@ impl SurvivabilityAnalysis {
 
     /// Assess one failure scenario incrementally (steps 1–4 of the module
     /// docs): release the affected shards, rebase onto the survivor,
-    /// re-admit rerouted and re-verified flows warm, and report the
-    /// verdict with margins and per-flow bounds.
+    /// re-admit rerouted and re-verified flows in one solve (one by one
+    /// only when they do not all fit), and report the verdict with
+    /// margins and per-flow bounds.
     pub fn assess(&self, scenario: &FailureScenario) -> Result<FailureVerdict, AnalysisError> {
         let mut faulty = self.controller.topology().clone();
         scenario.apply(&mut faulty).map_err(AnalysisError::Net)?;
@@ -349,20 +351,33 @@ impl SurvivabilityAnalysis {
                     .with_encapsulation(binding.encapsulation),
             );
         }
-        let decisions = ctl.request_batch(requests)?;
-
+        // One solve verifies every re-admission at once; only when the
+        // survivors do not all fit does the sequential path run, to name
+        // the rejected flows in request order.
+        let (admitted, solve) = ctl.admit_all(&requests)?;
+        let mut rounds = solve.rounds;
+        let mut flow_analyses = solve.flow_analyses;
         let mut rejected: Vec<FlowId> = Vec::new();
-        let mut id_map: Vec<(FlowId, FlowId)> = Vec::with_capacity(decisions.len());
-        let mut rounds = 0usize;
-        let mut flow_analyses = 0usize;
-        for (&original, decision) in originals.iter().zip(&decisions) {
-            id_map.push((original, decision.id()));
-            rounds += decision.cost().rounds;
-            flow_analyses += decision.cost().flow_analyses;
-            if !decision.is_accepted() {
-                rejected.push(original);
+        let id_map: Vec<(FlowId, FlowId)> = match admitted {
+            Some(base) => originals
+                .iter()
+                .enumerate()
+                .map(|(i, &original)| (original, FlowId(base.0 + i)))
+                .collect(),
+            None => {
+                let decisions = ctl.request_batch(requests)?;
+                let mut id_map = Vec::with_capacity(decisions.len());
+                for (&original, decision) in originals.iter().zip(&decisions) {
+                    id_map.push((original, decision.id()));
+                    rounds += decision.cost().rounds;
+                    flow_analyses += decision.cost().flow_analyses;
+                    if !decision.is_accepted() {
+                        rejected.push(original);
+                    }
+                }
+                id_map
             }
-        }
+        };
         let survivor_schedulable = rejected.is_empty();
         let survivable = survivor_schedulable && stranded.is_empty();
 
@@ -376,11 +391,7 @@ impl SurvivabilityAnalysis {
         if survivor_schedulable {
             let back: BTreeMap<FlowId, FlowId> =
                 id_map.iter().map(|&(orig, new)| (new, orig)).collect();
-            let cached: BTreeMap<FlowId, Vec<Time>> = ctl
-                .cached_reports()
-                .map(|(id, report)| (id, report.frames.iter().map(|f| f.bound).collect()))
-                .collect();
-            let complete = cached.len() == ctl.n_accepted();
+            let complete = ctl.cached_reports().count() == ctl.n_accepted();
             let slacks_and_bounds: Vec<(FlowId, Option<Time>, Vec<Time>)> = if complete {
                 ctl.cached_reports()
                     .map(|(id, report)| {

@@ -36,7 +36,11 @@ use std::collections::BTreeMap;
 
 /// Connected components of the "flows share a directed link" graph,
 /// maintained incrementally under flow arrivals and departures.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Equality compares the partition — the components and the link lists —
+/// not which member each component's internal root happens to be (that
+/// depends on the order of unions, e.g. a rebuild after a departure).
+#[derive(Debug, Clone, Default)]
 pub struct FlowComponents {
     /// Fully flattened union-find: every flow maps directly to its root.
     parent: BTreeMap<FlowId, FlowId>,
@@ -46,6 +50,14 @@ pub struct FlowComponents {
     /// Directed link → sorted ids of the flows whose routes traverse it.
     links: BTreeMap<(NodeId, NodeId), Vec<FlowId>>,
 }
+
+impl PartialEq for FlowComponents {
+    fn eq(&self, other: &Self) -> bool {
+        self.links == other.links && self.components() == other.components()
+    }
+}
+
+impl Eq for FlowComponents {}
 
 impl FlowComponents {
     /// An empty component index.
@@ -168,38 +180,60 @@ impl FlowComponents {
     /// Panics if the flow id is not indexed, or if a surviving member of
     /// its component is missing from `remaining`.
     pub fn remove(&mut self, binding: &FlowBinding, remaining: &FlowSet) {
-        let id = binding.id;
-        let root = *self
-            .parent
-            .get(&id)
-            .unwrap_or_else(|| panic!("flow {id} is not indexed"));
-        // Strip the departing flow from its link lists.
-        for hop in binding.route.hops() {
-            if let Some(list) = self.links.get_mut(&(hop.from, hop.to)) {
-                if let Ok(pos) = list.binary_search(&id) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.links.remove(&(hop.from, hop.to));
+        self.remove_batch(std::slice::from_ref(binding), remaining);
+    }
+
+    /// Remove several flows at once, rebuilding every former component
+    /// they belonged to exactly *once* — not once per departed flow.  A
+    /// component whose members all depart just disappears.
+    ///
+    /// `remaining` must be the flow set *after* every departure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow id is not indexed (or listed twice), or if a
+    /// surviving member of a touched component is missing from
+    /// `remaining`.
+    pub fn remove_batch(&mut self, departed: &[FlowBinding], remaining: &FlowSet) {
+        let mut roots: Vec<FlowId> = Vec::new();
+        for binding in departed {
+            let id = binding.id;
+            let root = self
+                .parent
+                .remove(&id)
+                .unwrap_or_else(|| panic!("flow {id} is not indexed"));
+            if let Err(pos) = roots.binary_search(&root) {
+                roots.insert(pos, root);
+            }
+            // Strip the departing flow from its link lists.
+            for hop in binding.route.hops() {
+                if let Some(list) = self.links.get_mut(&(hop.from, hop.to)) {
+                    if let Ok(pos) = list.binary_search(&id) {
+                        list.remove(pos);
+                    }
+                    if list.is_empty() {
+                        self.links.remove(&(hop.from, hop.to));
+                    }
                 }
             }
         }
-        // Dissolve the old component…
-        let survivors: Vec<FlowId> = self
-            .members
-            .remove(&root)
-            // tidy-allow: unwrap invariant: parent roots always have a member list
-            .expect("roots have member lists")
-            .into_iter()
-            .filter(|&m| m != id)
-            .collect();
-        self.parent.remove(&id);
+        // Dissolve the old components…
+        let mut survivors: Vec<FlowId> = Vec::new();
+        for root in roots {
+            let members = self
+                .members
+                .remove(&root)
+                // tidy-allow: unwrap invariant: parent roots always have a member list
+                .expect("roots have member lists");
+            survivors.extend(members.into_iter().filter(|m| self.parent.contains_key(m)));
+        }
+        survivors.sort_unstable();
         for &m in &survivors {
             self.parent.insert(m, m);
             self.members.insert(m, vec![m]);
         }
         // …and re-union the survivors along their (already indexed) links.
-        // Every flow sharing a link with a survivor was in the old
+        // Every flow sharing a link with a survivor was in its old
         // component, so all of them are singletons again here.
         for &m in &survivors {
             let route = &remaining
@@ -375,6 +409,40 @@ mod tests {
         assert_eq!(c, FlowComponents::build(&fs));
         assert_eq!(c.n_components(), 1); // chained merges collapse all
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn batch_removal_matches_sequential_removal_and_a_fresh_build() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..32u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let link = LinkProfile::ethernet_100m();
+            let (t, _, hosts) =
+                crate::builders::random_tree(&mut rng, 5, 2, link, link, SwitchConfig::paper());
+            let mut fs = FlowSet::new();
+            for _ in 0..12 {
+                let from = rng.gen_range(0..hosts.len());
+                let to = (from + rng.gen_range(1..hosts.len())) % hosts.len();
+                add_flow(&t, &mut fs, &hosts, from, to);
+            }
+            let before = FlowComponents::build(&fs);
+            let departing: Vec<FlowId> = fs.ids().filter(|_| rng.gen_bool(0.4)).collect();
+            let mut remaining = fs.clone();
+            let departed: Vec<FlowBinding> = departing
+                .iter()
+                .map(|&id| remaining.remove(id).unwrap())
+                .collect();
+            let mut batch = before.clone();
+            batch.remove_batch(&departed, &remaining);
+            let mut one_by_one = before;
+            let mut rest = fs.clone();
+            for binding in &departed {
+                rest.remove(binding.id).unwrap();
+                one_by_one.remove(binding, &rest);
+            }
+            assert_eq!(batch, one_by_one, "seed {seed}");
+            assert_eq!(batch, FlowComponents::build(&remaining), "seed {seed}");
+        }
     }
 
     #[test]

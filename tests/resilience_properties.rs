@@ -2,11 +2,13 @@
 //! single-failure scenario of a ring-of-cells workload — each cable cut,
 //! each switch CPU degradation — the *incremental* survivability verdict
 //! (release the affected shards from a warm admission controller, rebase
-//! onto the survivor topology, re-admit the re-routed flows shard-scoped)
-//! must be **byte-identical** to a cold from-scratch analysis of the
-//! re-routed survivor set: same schedulability verdict, same stranded set,
-//! same margin, same per-flow per-frame bounds.  Checked across worker
-//! threads (1 and 4) and both fixed-point strategies.
+//! onto the survivor topology, re-admit the re-routed flows in one
+//! holistic solve, falling back to one-by-one admission when they do not
+//! all fit) must be **byte-identical** to a cold from-scratch analysis of
+//! the re-routed survivor set: same schedulability verdict, same stranded
+//! set, same margin, same per-flow per-frame bounds.  Checked across
+//! worker threads (1 and 4) and both fixed-point strategies; an extreme
+//! CPU degradation makes sure the fallback path is among the cases.
 
 use gmfnet::analysis::{
     divergence, single_failure_scenarios, AnalysisConfig, DependencyGraph, FixedPointStrategy,
@@ -26,7 +28,10 @@ proptest! {
     ) {
         let config = ResilienceConfig::tiny();
         let scenario = resilience_scenario(seed, &config);
-        let failures = single_failure_scenarios(&scenario.topology, &[2, 8]);
+        // ×100 000 leaves no flow through the degraded switch within its
+        // deadline: those survivors do not all fit, so the re-admission
+        // takes the one-by-one fallback.
+        let failures = single_failure_scenarios(&scenario.topology, &[2, 8, 100_000]);
         for strategy in [FixedPointStrategy::Picard, FixedPointStrategy::Anderson1] {
             for threads in [1usize, 4] {
                 let analysis_config = AnalysisConfig::paper()
@@ -38,6 +43,7 @@ proptest! {
                     analysis_config,
                 )
                 .unwrap();
+                let mut fallbacks = 0usize;
                 for failure in &failures {
                     let verdict = analysis.assess(failure).unwrap();
                     let cold = analysis.cold_verdict(failure).unwrap();
@@ -49,6 +55,10 @@ proptest! {
                         strategy,
                         threads
                     );
+                    // Only the fallback names rejections, and it runs
+                    // exactly when the survivor set is not schedulable.
+                    prop_assert_eq!(verdict.rejected.is_empty(), verdict.survivor_schedulable);
+                    fallbacks += usize::from(!verdict.survivor_schedulable);
                     // Structural invariants of the verdict itself.
                     if verdict.survivable {
                         prop_assert!(verdict.stranded.is_empty());
@@ -76,6 +86,7 @@ proptest! {
                         }
                     }
                 }
+                prop_assert!(fallbacks > 0, "no scenario took the fallback path");
             }
         }
     }
