@@ -1969,4 +1969,73 @@ mod tests {
         assert_eq!(AdmissionMode::Cold.to_string(), "cold");
         assert_eq!(AdmissionMode::Warm.to_string(), "warm");
     }
+
+    /// Three flows chasing each other around a 3-switch ring, host to
+    /// host: A `S0→S1→S2`, B `S1→S2→S0`, C `S2→S0→S1`.  Their jitters form
+    /// the dependency cycle (A,L12)→(B,I2)→(B,L20)→(C,I0)→(C,L01)→(A,I1)
+    /// →(A,L12), so warm starts are unsound for the full set.
+    fn chasing_ring() -> (Topology, [AdmissionRequest; 3]) {
+        let link = LinkProfile::ethernet_100m();
+        let mut t = Topology::new();
+        let switches: Vec<NodeId> = (0..3)
+            .map(|i| t.add_switch(SwitchConfig::paper(), format!("s{i}")))
+            .collect();
+        let hosts: Vec<NodeId> = (0..3).map(|i| t.add_end_host(format!("h{i}"))).collect();
+        for i in 0..3 {
+            t.add_duplex_link(hosts[i], switches[i], link).unwrap();
+            t.add_duplex_link(switches[i], switches[(i + 1) % 3], link)
+                .unwrap();
+        }
+        let request = |name: &str, first: usize| {
+            let path = (0..3).map(|k| switches[(first + k) % 3]);
+            let nodes = std::iter::once(hosts[first])
+                .chain(path)
+                .chain(std::iter::once(hosts[(first + 2) % 3]))
+                .collect();
+            let route = Route::new(&t, nodes).unwrap();
+            let flow = voip_flow(
+                name,
+                VoiceCodec::G711,
+                Time::from_millis(50.0),
+                Time::from_millis(0.5),
+            );
+            AdmissionRequest::new(flow, route, Priority(5))
+        };
+        let requests = [request("a", 0), request("b", 1), request("c", 2)];
+        (t, requests)
+    }
+
+    #[test]
+    fn cyclic_dependency_graph_falls_back_to_cold_analysis() {
+        let (t, [a, b, c]) = chasing_ring();
+        let mut set = FlowSet::new();
+        for request in [&a, &b, &c] {
+            set.add(
+                request.flow.clone(),
+                request.route.clone(),
+                request.priority,
+            );
+        }
+        let ids: Vec<FlowId> = set.ids().collect();
+        assert_eq!(acyclic_affected_flows(&set, ids[2]), None);
+
+        for threads in [1usize, 4] {
+            let config = AnalysisConfig::paper().with_threads(threads);
+            let mut ctl = AdmissionController::new(t.clone(), config);
+            assert!(ctl.request_batch([a.clone()]).unwrap()[0].is_accepted());
+            // A and B alone are acyclic, so B is verified warm; C closes
+            // the cycle and must run cold.
+            let second = ctl.request_batch([b.clone()]).unwrap().pop().unwrap();
+            assert!(
+                second.is_accepted() && second.cost().warm,
+                "threads {threads}"
+            );
+            let decision = ctl.request_batch([c.clone()]).unwrap().pop().unwrap();
+            assert!(decision.is_accepted(), "threads {threads}");
+            assert!(!decision.cost().warm, "threads {threads}");
+            let reference =
+                crate::reference::analyze_reference(&t, ctl.accepted(), &config).unwrap();
+            assert_eq!(decision.report(), &reference, "threads {threads}");
+        }
+    }
 }

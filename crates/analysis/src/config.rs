@@ -1,12 +1,11 @@
 //! Configuration of the schedulability analysis.
 
-use crate::fixed_point::FixedPointStrategy;
 use gmf_model::Time;
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs of the response-time analysis.
 ///
-/// The defaults reproduce the paper's equations as printed; the two
+/// The defaults reproduce the paper's equations as printed; the three
 /// `refine_*` flags enable documented refinements that make the bounds
 /// strictly more conservative (see DESIGN.md §4) and are used by the
 /// ablation experiments.
@@ -52,28 +51,11 @@ pub struct AnalysisConfig {
     /// inside the interference window and charge one `MFT` blocking per
     /// own Ethernet frame; the bound is strictly more conservative.
     pub refine_egress_own_frames: bool,
-    /// How the holistic engine advances the jitter iterate between outer
-    /// rounds: plain Picard (the paper's scheme, the default) or
-    /// safeguarded Anderson(1) acceleration.  Both land on the same fixed
-    /// point and produce identical flow reports at convergence (see
-    /// `fixed_point` module docs); Anderson can need fewer rounds on
-    /// workloads with long geometric tails.
-    pub strategy: FixedPointStrategy,
     /// Worker threads for the per-flow analyses within one holistic round
     /// (the flows of a round are independent).  `1` (the default) runs
     /// inline on the caller's thread; any value produces byte-identical
     /// reports.
     pub threads: usize,
-    /// Skip re-analysing a flow in a holistic round when every jitter slot
-    /// its analysis reads is *exactly* unchanged from the round that
-    /// produced its cached report (Jacobi memoization).  Within one round
-    /// every flow is analysed against the same immutable previous-round
-    /// map, so unchanged inputs reproduce the cached outputs bit for bit —
-    /// the report, the convergence trace and the verdict are byte-identical
-    /// with the flag on or off; only the `flow_analyses` cost counters
-    /// shrink.  `true` by default; the ablation experiments switch it off
-    /// to measure the saving.
-    pub skip_unchanged_flows: bool,
 }
 
 impl Default for AnalysisConfig {
@@ -85,9 +67,7 @@ impl Default for AnalysisConfig {
             refine_ingress_own_frames: false,
             refine_first_hop_blocking: false,
             refine_egress_own_frames: false,
-            strategy: FixedPointStrategy::Picard,
             threads: 1,
-            skip_unchanged_flows: true,
         }
     }
 }
@@ -98,7 +78,7 @@ impl AnalysisConfig {
         AnalysisConfig::default()
     }
 
-    /// The conservative configuration: both refinements enabled.  Used by
+    /// The conservative configuration: all three refinements enabled.  Used by
     /// the simulation-validation experiment (E7), where the analytical bound
     /// must dominate every observed response time.
     pub fn conservative() -> Self {
@@ -116,12 +96,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Override the fixed-point strategy of the holistic engine.
-    pub fn with_strategy(mut self, strategy: FixedPointStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Override the outer (holistic jitter) iteration budget (`0` is
     /// treated as 1).  Warm-started admission trials inherit the same
     /// budget as cold runs; tests use small budgets to exercise the
@@ -135,14 +109,6 @@ impl AnalysisConfig {
     /// treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enable or disable the dirty-flow round skipping of the holistic
-    /// engine (reports are byte-identical either way; only the
-    /// `flow_analyses` cost counters differ).
-    pub fn with_skip_unchanged_flows(mut self, skip: bool) -> Self {
-        self.skip_unchanged_flows = skip;
         self
     }
 }
@@ -180,19 +146,14 @@ mod tests {
     #[test]
     fn engine_defaults_preserve_the_paper_scheme() {
         let c = AnalysisConfig::default();
-        assert_eq!(c.strategy, FixedPointStrategy::Picard);
         assert_eq!(c.threads, 1);
-        // Round skipping is on by default — it is invisible in the bounds.
-        assert!(c.skip_unchanged_flows);
-        assert!(!c.with_skip_unchanged_flows(false).skip_unchanged_flows);
     }
 
     #[test]
     fn with_strategy_and_threads_override() {
-        let c = AnalysisConfig::default()
-            .with_strategy(FixedPointStrategy::Anderson1)
-            .with_threads(4);
-        assert_eq!(c.strategy, FixedPointStrategy::Anderson1);
+        // The engine has one fixed-point scheme (Picard); the remaining
+        // engine knob is the worker-thread count.
+        let c = AnalysisConfig::default().with_threads(4);
         assert_eq!(c.threads, 4);
         assert_eq!(AnalysisConfig::default().with_threads(0).threads, 1);
     }
@@ -200,7 +161,7 @@ mod tests {
     #[test]
     fn config_serde_roundtrip_includes_engine_fields() {
         let c = AnalysisConfig::conservative()
-            .with_strategy(FixedPointStrategy::Anderson1)
+            .with_max_holistic_iterations(7)
             .with_threads(8);
         let json = serde_json::to_string(&c).unwrap();
         let back: AnalysisConfig = serde_json::from_str(&json).unwrap();

@@ -165,15 +165,6 @@ pub fn affected_flows(flows: &FlowSet, seed: FlowId) -> Option<BTreeSet<FlowId>>
     crate::fixed_point::affected_flows(flows, &[seed])
 }
 
-/// `true` if the jitter-dependency graph of `flows` is acyclic.
-///
-/// Acyclicity makes the holistic fixed point *unique*, which is what
-/// licenses warm starts and Anderson acceleration; the admission plane
-/// falls back to cold Picard per trial when a shard is cyclic.
-pub fn dependency_is_acyclic(flows: &FlowSet) -> bool {
-    crate::fixed_point::dependency_is_acyclic(flows)
-}
-
 /// A node of the jitter-dependency graph, re-exported for documentation
 /// and diagnostics: one flow's jitter at one resource of its route.
 pub type DependencyNode = (FlowId, ResourceId);
@@ -251,7 +242,6 @@ mod tests {
             shortest_path(&t, hosts[2], hosts[3]).unwrap(),
             Priority(3),
         );
-        assert!(dependency_is_acyclic(&fs));
         let g = DependencyGraph::new(&fs);
         // a and b share (h0, sw); c is coupled to b only via b's *shard*
         // membership, not via any shared link — they are disjoint.

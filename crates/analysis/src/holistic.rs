@@ -24,9 +24,9 @@
 //! *previous* round's jitters (Jacobi-style), so every round is
 //! deterministic and the per-flow analyses are parallelised by the
 //! fixed-point engine without changing any result.  The iteration itself —
-//! strategy selection (Picard / safeguarded Anderson(1)), parallel round
-//! evaluation and the per-round [`crate::fixed_point::ConvergenceTrace`] —
-//! lives in [`crate::fixed_point`]; this module is the public entry point.
+//! parallel round evaluation, exact-equality round skipping and the
+//! per-round [`crate::fixed_point::ConvergenceTrace`] — lives in
+//! [`crate::fixed_point`]; this module is the public entry point.
 
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;

@@ -88,10 +88,7 @@ pub use deps::{DependencyGraph, ShardId};
 pub use egress::egress_response;
 pub use error::{AnalysisError, StageKind};
 pub use first_hop::first_hop_response;
-pub use fixed_point::{
-    iterate_from, ConvergenceTrace, FixedPointRun, FixedPointStrategy, RoundTrace,
-    StepKind as FixedPointStepKind,
-};
+pub use fixed_point::{iterate_from, ConvergenceTrace, FixedPointRun, RoundTrace};
 pub use holistic::analyze;
 pub use ingress::ingress_response;
 pub use pipeline::{analyze_flow, analyze_frame, hop_sum_matches, JitterAssignments};
@@ -113,7 +110,7 @@ pub mod prelude {
     pub use crate::config::AnalysisConfig;
     pub use crate::context::{AnalysisContext, JitterMap, ResourceId};
     pub use crate::deps::{DependencyGraph, ShardId};
-    pub use crate::fixed_point::{ConvergenceTrace, FixedPointStrategy};
+    pub use crate::fixed_point::ConvergenceTrace;
     pub use crate::holistic::analyze;
     pub use crate::pipeline::{analyze_flow, analyze_frame};
     pub use crate::report::{AnalysisReport, FlowReport, FrameBound, HopBound};

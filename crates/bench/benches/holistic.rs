@@ -1,9 +1,9 @@
 //! B3 — cost of the full holistic analysis (admission-control latency) on
-//! the paper scenario and on larger synthetic flow sets, plus the two
-//! fixed-point engine axes: worker-thread count and iteration strategy.
+//! the paper scenario and on larger synthetic flow sets, plus the
+//! worker-thread axis of the fixed-point engine and the long-tail line.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gmf_analysis::{analyze, AnalysisConfig, FixedPointStrategy};
+use gmf_analysis::{analyze, AnalysisConfig};
 use gmf_bench::{
     long_tail_bench_scenario, synthetic_converging_set, HOLISTIC_SYNTHETIC_AXIS,
     HOLISTIC_THREAD_AXIS,
@@ -27,7 +27,7 @@ fn bench_holistic(c: &mut Criterion) {
     }
     group.finish();
 
-    // Engine axis 1: worker threads for the Jacobi rounds (16-flow set).
+    // Engine axis: worker threads for the Jacobi rounds (16-flow set).
     // The reports are byte-identical at every point; only wall clock moves.
     let (topology, set) = synthetic_converging_set(*HOLISTIC_SYNTHETIC_AXIS.last().unwrap());
     let mut group = c.benchmark_group("holistic_threads");
@@ -39,19 +39,13 @@ fn bench_holistic(c: &mut Criterion) {
     }
     group.finish();
 
-    // Engine axis 2: fixed-point strategy on the long-tail line workload,
-    // where Anderson(1) needs measurably fewer outer rounds than Picard.
+    // The long-tail line workload: interference chains run the whole line,
+    // so the jitter fixed point needs on the order of `2·n_switches` rounds.
     let (topology, flows) = long_tail_bench_scenario();
     let mut group = c.benchmark_group("holistic_longtail");
-    for (name, strategy) in [
-        ("picard", FixedPointStrategy::Picard),
-        ("anderson1", FixedPointStrategy::Anderson1),
-    ] {
-        let config = AnalysisConfig::paper().with_strategy(strategy);
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| analyze(black_box(&topology), &flows, &config).unwrap())
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter("picard"), |b| {
+        b.iter(|| analyze(black_box(&topology), &flows, &config).unwrap())
+    });
     group.finish();
 }
 

@@ -13,8 +13,10 @@
 //!
 //! `timings_ns` carries the wall-clock medians (machine-dependent);
 //! `counters` carries the engine's *deterministic* cost metrics — holistic
-//! rounds and per-flow analyses per workload (with dirty-flow skipping off
-//! and on), the simulator's event and calendar-queue shape counters, and
+//! rounds and per-flow analyses per workload (`rounds/<workload>/skip`,
+//! `flow_analyses/<workload>/skip`: the engine always skips flows whose
+//! inputs are exactly unchanged; the cost without skipping is `rounds ×
+//! flows`), the simulator's event and calendar-queue shape counters, and
 //! the tightness-atlas percentile counters — which must be bit-identical
 //! on every machine.  Schema 3 added the `sim/*` and `atlas/*` counters;
 //! with the event count pinned exactly, the normalised gate on the
@@ -33,7 +35,7 @@
 
 use gmf_analysis::{
     analyze, first_hop_response, iterate_from, AdmissionMode, AnalysisConfig, AnalysisContext,
-    FixedPointStrategy, JitterMap,
+    JitterMap,
 };
 use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
@@ -128,7 +130,7 @@ fn main() {
     );
 
     // B3 — full holistic analysis: paper scenario, synthetic size axis,
-    // worker-thread axis, and the strategy axis on the long-tail workload.
+    // worker-thread axis, and the long-tail workload.
     record(
         "holistic_paper_scenario",
         median_ns(samples, || {
@@ -165,21 +167,15 @@ fn main() {
     }
 
     let (topology, flows) = long_tail_bench_scenario();
-    for (name, strategy) in [
-        ("picard", FixedPointStrategy::Picard),
-        ("anderson1", FixedPointStrategy::Anderson1),
-    ] {
-        let config = AnalysisConfig::paper().with_strategy(strategy);
-        record(
-            &format!("holistic_longtail/{name}"),
-            median_ns(samples, || {
-                black_box(analyze(black_box(&topology), &flows, &config).unwrap());
-            }),
-        );
-    }
+    record(
+        "holistic_longtail/picard",
+        median_ns(samples, || {
+            black_box(analyze(black_box(&topology), &flows, &paper_config).unwrap());
+        }),
+    );
 
     // B3b — the dense core's cost counters: holistic rounds and per-flow
-    // analyses per cold analyze, with dirty-flow skipping off and on.
+    // analyses per cold analyze.
     // These are deterministic (identical on every machine and at every
     // thread count) — the hard half of the perf-smoke gate.
     let (mixed_topology, mixed_flows) = mixed_depth_line_scenario(10, 4);
@@ -199,31 +195,23 @@ fn main() {
             ("mixed_depth", &mixed_topology, &mixed_flows),
         ];
         for (name, workload_topology, workload_flows) in cost_workloads {
-            {
-                // The demand-kernel shape of the workload: how many
-                // precompiled tables the interner holds, how many window
-                // spans they store in total, and how many interference
-                // terms the dense plan walks.  Deterministic like the
-                // round counters — a change means the plan changed.
-                let ctx = AnalysisContext::new(workload_topology, workload_flows).unwrap();
-                let (tables, windows, terms) = ctx.kernel_stats();
-                counters.insert(format!("kernel/tables/{name}"), tables);
-                counters.insert(format!("kernel/windows/{name}"), windows);
-                counters.insert(format!("kernel/terms/{name}"), terms);
-            }
-            for (mode, skip) in [("full", false), ("skip", true)] {
-                let config = AnalysisConfig::paper().with_skip_unchanged_flows(skip);
-                let ctx = AnalysisContext::new(workload_topology, workload_flows).unwrap();
-                let run = iterate_from(&ctx, &config, JitterMap::initial(workload_flows)).unwrap();
-                counters.insert(
-                    format!("flow_analyses/{name}/{mode}"),
-                    run.flow_analyses as u64,
-                );
-                counters.insert(
-                    format!("rounds/{name}/{mode}"),
-                    run.report.iterations as u64,
-                );
-            }
+            // The demand-kernel shape of the workload: how many
+            // precompiled tables the interner holds, how many window spans
+            // they store in total, and how many interference terms the
+            // dense plan walks.  Deterministic like the round counters — a
+            // change means the plan changed.
+            let ctx = AnalysisContext::new(workload_topology, workload_flows).unwrap();
+            let (tables, windows, terms) = ctx.kernel_stats();
+            counters.insert(format!("kernel/tables/{name}"), tables);
+            counters.insert(format!("kernel/windows/{name}"), windows);
+            counters.insert(format!("kernel/terms/{name}"), terms);
+            let run =
+                iterate_from(&ctx, &paper_config, JitterMap::initial(workload_flows)).unwrap();
+            counters.insert(
+                format!("flow_analyses/{name}/skip"),
+                run.flow_analyses as u64,
+            );
+            counters.insert(format!("rounds/{name}/skip"), run.report.iterations as u64);
         }
     }
 

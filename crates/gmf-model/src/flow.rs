@@ -38,12 +38,27 @@ impl fmt::Display for FlowId {
 
 /// A generalized multiframe flow: a named, validated, cyclic sequence of
 /// [`FrameSpec`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GmfFlow {
     /// Human-readable name (used in reports and experiment output).
     name: String,
     /// The cyclic frame tuple; `frames.len()` is the paper's `n_i`.
     frames: Vec<FrameSpec>,
+}
+
+/// The wire form of a [`GmfFlow`].  Loading goes through [`GmfFlow::new`],
+/// so a scenario file cannot bypass frame validation.
+#[derive(Deserialize)]
+struct GmfFlowSerde {
+    name: String,
+    frames: Vec<FrameSpec>,
+}
+
+impl<'de> serde::de::Deserialize<'de> for GmfFlow {
+    fn deserialize<D: serde::de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = GmfFlowSerde::deserialize(deserializer)?;
+        GmfFlow::new(wire.name, wire.frames).map_err(<D::Error as serde::de::Error>::custom)
+    }
 }
 
 impl GmfFlow {
@@ -409,5 +424,47 @@ mod tests {
         let json = serde_json::to_string(&f).unwrap();
         let back: GmfFlow = serde_json::from_str(&json).unwrap();
         assert_eq!(f, back);
+    }
+
+    #[test]
+    fn deserialize_validates_every_field() {
+        // Serialize flows that bypass `GmfFlow::new`; loading them back
+        // must fail with a serde error.
+        let valid = three_frame_flow().frames[0];
+        let cases = [
+            (
+                "negative jitter",
+                vec![FrameSpec {
+                    jitter: Time::from_secs(-5.0),
+                    ..valid
+                }],
+            ),
+            (
+                "zero inter-arrival",
+                vec![FrameSpec {
+                    min_interarrival: Time::ZERO,
+                    ..valid
+                }],
+            ),
+            (
+                "zero payload",
+                vec![FrameSpec {
+                    payload: Bits::ZERO,
+                    ..valid
+                }],
+            ),
+            ("empty frame list", Vec::new()),
+        ];
+        for (what, frames) in cases {
+            let invalid = GmfFlow {
+                name: "invalid".into(),
+                frames,
+            };
+            let json = serde_json::to_string(&invalid).unwrap();
+            assert!(
+                serde_json::from_str::<GmfFlow>(&json).is_err(),
+                "{what} must not load"
+            );
+        }
     }
 }

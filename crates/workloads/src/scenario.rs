@@ -118,6 +118,22 @@ mod tests {
     }
 
     #[test]
+    fn invalid_frame_in_a_scenario_file_is_rejected() {
+        // Loading must run the flow validation: one frame of the paper
+        // scenario with a −5 s jitter makes the whole file fail to parse.
+        let (s, _) = paper_scenario();
+        let json = ScenarioFile::new("paper", "example", s.topology, s.flows)
+            .to_json()
+            .unwrap();
+        let key = "\"jitter\": ";
+        let start = json.find(key).unwrap() + key.len();
+        let end = start + json[start..].find([',', '\n']).unwrap();
+        let bad = format!("{}-5.0{}", &json[..start], &json[end..]);
+        assert!(ScenarioFile::from_json(&json).is_ok());
+        assert!(ScenarioFile::from_json(&bad).is_err());
+    }
+
+    #[test]
     fn malformed_json_is_rejected() {
         assert!(ScenarioFile::from_json("{not json").is_err());
         assert!(ScenarioFile::load("/nonexistent/path/scenario.json").is_err());

@@ -17,8 +17,7 @@
 //!
 //! A second property pins `reference::analyze_reference == analyze` on
 //! the fuzz distribution (tree/multi-switch topologies the sweep- and
-//! churn-style property sets never draw), across worker threads 1/4 and
-//! round skipping on/off.
+//! churn-style property sets never draw), across worker threads 1/4.
 
 use gmf_bench::conformance::{check_scenario, minimize_violation, ConformanceConfig};
 use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig};
@@ -217,8 +216,7 @@ proptest! {
     }
 
     /// The keyed reference engine and the dense production engine agree
-    /// byte-for-byte on the fuzz distribution, across worker threads and
-    /// dirty-flow round skipping.
+    /// byte-for-byte on the fuzz distribution, across worker threads.
     #[test]
     fn reference_engine_matches_dense_on_fuzz_scenarios(seed in 0u64..u64::MAX / 2) {
         let config = fuzz_config();
@@ -230,21 +228,17 @@ proptest! {
         )
         .unwrap();
         for threads in [1usize, 4] {
-            for skip in [false, true] {
-                let dense = analyze(
-                    &scenario.topology,
-                    &scenario.flows,
-                    &AnalysisConfig::conservative()
-                        .with_threads(threads)
-                        .with_skip_unchanged_flows(skip),
-                )
-                .unwrap();
-                prop_assert_eq!(
-                    &reference, &dense,
-                    "{}: threads = {}, skip = {}",
-                    scenario.label, threads, skip
-                );
-            }
+            let dense = analyze(
+                &scenario.topology,
+                &scenario.flows,
+                &AnalysisConfig::conservative().with_threads(threads),
+            )
+            .unwrap();
+            prop_assert_eq!(
+                &reference, &dense,
+                "{}: threads = {}",
+                scenario.label, threads
+            );
         }
     }
 }

@@ -5,18 +5,20 @@
 //! The oracle is [`gmfnet::analysis::analyze_reference`] — a deliberately
 //! simple sequential keyed Picard engine that shares no hot-path code with
 //! the production engine (tree-map jitter reads, per-frame stage walks,
-//! no memoisation).  On random sweep-style and churn-style flow sets:
+//! no memoisation, no skipping).  On random sweep-style and churn-style
+//! flow sets:
 //!
 //! (a) the production engine's `AnalysisReport` is `assert_eq!`-identical
 //!     to the reference — bounds, hop breakdowns, verdicts, failure
-//!     strings, iteration counts and residual traces — across worker
-//!     threads 1/4 and round skipping on/off;
-//! (b) with the `Anderson1` strategy the verdicts always match and the
-//!     converged bounds are byte-identical (iteration traces aside);
-//! (c) on churn-style suffixes (a departure-reshaped set), the dense
+//!     strings, iteration counts and residual traces — at worker threads
+//!     1 and 4, and a converged run never analyses more than
+//!     `rounds × flows` flows (the cost without skipping);
+//! (b) on churn-style suffixes (a departure-reshaped set), the dense
 //!     engine still matches the reference, pinning the id-sparse case.
 
-use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig, FixedPointStrategy};
+use gmfnet::analysis::{
+    analyze_reference, iterate_from, AnalysisConfig, AnalysisContext, JitterMap,
+};
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
 use proptest::prelude::*;
@@ -25,26 +27,32 @@ fn sweep_set(seed: u64, n_flows: usize, utilization: f64) -> (Topology, FlowSet)
     random_sweep_set(seed, n_flows, utilization, &SweepConfig::default())
 }
 
-/// The engine axes the report must be invariant over: worker threads and
-/// round skipping.
-fn engine_axes() -> Vec<AnalysisConfig> {
-    let mut axes = Vec::new();
+/// Run the production engine at threads 1 and 4 and compare each run with
+/// the keyed reference: byte-identical reports, and no more per-flow
+/// analyses than `rounds × flows` on a converged run.
+fn assert_engine_matches_reference(topology: &Topology, set: &FlowSet) {
+    let reference = analyze_reference(topology, set, &AnalysisConfig::paper()).unwrap();
+    let ctx = AnalysisContext::new(topology, set).unwrap();
     for threads in [1usize, 4] {
-        for skip in [false, true] {
-            axes.push(
-                AnalysisConfig::paper()
-                    .with_threads(threads)
-                    .with_skip_unchanged_flows(skip),
+        let config = AnalysisConfig::paper().with_threads(threads);
+        let run = iterate_from(&ctx, &config, JitterMap::initial(set)).unwrap();
+        assert_eq!(reference, run.report, "threads = {threads}");
+        if run.report.converged {
+            assert!(
+                run.flow_analyses <= run.report.iterations * set.len(),
+                "threads = {threads}: {} analyses over {} rounds of {} flows",
+                run.flow_analyses,
+                run.report.iterations,
+                set.len()
             );
         }
     }
-    axes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (a) Dense engine == keyed reference, across threads and skipping.
+    /// (a) Dense engine == keyed reference, across threads.
     #[test]
     fn dense_reports_equal_keyed_reference(
         seed in 0u64..1_000_000,
@@ -52,42 +60,10 @@ proptest! {
         utilization in 0.1f64..1.1,
     ) {
         let (topology, set) = sweep_set(seed, n_flows, utilization);
-        let reference = analyze_reference(&topology, &set, &AnalysisConfig::paper()).unwrap();
-        for config in engine_axes() {
-            let dense = analyze(&topology, &set, &config).unwrap();
-            prop_assert_eq!(
-                &reference, &dense,
-                "threads = {}, skip = {}",
-                config.threads, config.skip_unchanged_flows
-            );
-        }
+        assert_engine_matches_reference(&topology, &set);
     }
 
-    /// (b) Anderson on the dense engine still lands on the reference
-    /// bounds at convergence.
-    #[test]
-    fn anderson_dense_bounds_equal_keyed_reference(
-        seed in 0u64..1_000_000,
-        n_flows in 2usize..10,
-        utilization in 0.1f64..0.9,
-    ) {
-        let (topology, set) = sweep_set(seed, n_flows, utilization);
-        let reference = analyze_reference(&topology, &set, &AnalysisConfig::paper()).unwrap();
-        for threads in [1usize, 4] {
-            let config = AnalysisConfig::paper()
-                .with_strategy(FixedPointStrategy::Anderson1)
-                .with_threads(threads);
-            let anderson = analyze(&topology, &set, &config).unwrap();
-            prop_assert_eq!(reference.converged, anderson.converged);
-            prop_assert_eq!(reference.schedulable, anderson.schedulable);
-            if reference.converged {
-                prop_assert_eq!(&reference.flows, &anderson.flows);
-                prop_assert_eq!(&reference.failure, &anderson.failure);
-            }
-        }
-    }
-
-    /// (c) Churn-style sets (departures leave the id space sparse) still
+    /// (b) Churn-style sets (departures leave the id space sparse) still
     /// analyse byte-identically.
     #[test]
     fn dense_engine_matches_reference_after_departures(
@@ -104,34 +80,22 @@ proptest! {
         set.remove(departing).unwrap();
         let surviving = set.bindings()[0].clone();
         set.add(surviving.flow, surviving.route, surviving.priority);
-
-        let reference = analyze_reference(&topology, &set, &AnalysisConfig::paper()).unwrap();
-        for config in engine_axes() {
-            let dense = analyze(&topology, &set, &config).unwrap();
-            prop_assert_eq!(
-                &reference, &dense,
-                "threads = {}, skip = {}",
-                config.threads, config.skip_unchanged_flows
-            );
-        }
+        assert_engine_matches_reference(&topology, &set);
     }
 }
 
 /// Round skipping must also be invisible through the warm-started,
 /// dependency-scoped admission path (it composes with `Scope`): a warm
-/// controller with skipping takes byte-identical decisions to a cold
-/// controller without it.
+/// controller takes byte-identical decisions to a cold controller that
+/// re-analyses the whole accepted set per request.
 #[test]
 fn skipping_is_invisible_through_warm_admission() {
     use gmfnet::analysis::{AdmissionController, AdmissionMode, AdmissionRequest};
     let (topology, set) = sweep_set(20_080_511, 8, 0.5);
     let mut warm = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
         .with_mode(AdmissionMode::Warm);
-    let mut cold = AdmissionController::new(
-        topology,
-        AnalysisConfig::paper().with_skip_unchanged_flows(false),
-    )
-    .with_mode(AdmissionMode::Cold);
+    let mut cold =
+        AdmissionController::new(topology, AnalysisConfig::paper()).with_mode(AdmissionMode::Cold);
     for binding in set.bindings() {
         let request = AdmissionRequest::new(
             binding.flow.clone(),

@@ -1,18 +1,17 @@
 //! Property tests of the sharded admission plane: batched, shard-parallel
 //! warm admission must be *decision-for-decision byte-identical* to a
 //! sequential cold controller that re-analyses the whole accepted set per
-//! request — across worker threads, fixed-point strategies and
-//! arrival/departure (churn) orders — and the partition layer must track
-//! shard merges and splits exactly.
+//! request — across worker threads and arrival/departure (churn) orders —
+//! and the partition layer must track shard merges and splits exactly.
 //!
 //! The comparisons pin the tentpole claims of the sharded plane:
 //!
 //! (a) accept/reject verdicts, rejection reasons and victim attributions
 //!     are identical; warm (shard-scoped) trial reports are bytewise
 //!     projections of the cold (global) reports; the final accepted sets
-//!     are equal; and for the Picard strategy the final bounds also equal
-//!     the deliberately simple [`gmfnet::analysis::analyze_reference`]
-//!     oracle, which shares no hot-path code with the production engine;
+//!     are equal; and the final bounds also equal the deliberately simple
+//!     [`gmfnet::analysis::analyze_reference`] oracle, which shares no
+//!     hot-path code with the production engine;
 //! (b) an accepted bridge merges every shard its route touches
 //!     (merge-on-bridge), a rejection leaves the partition untouched, and
 //!     a departure splits the shard back — always agreeing with a
@@ -20,7 +19,7 @@
 
 use gmfnet::analysis::{
     analyze_reference, AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest,
-    AnalysisConfig, DependencyGraph, FixedPointStrategy,
+    AnalysisConfig, DependencyGraph,
 };
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
@@ -69,7 +68,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// (a) Batched shard-parallel warm admission == sequential global cold
-    /// admission, across threads and strategies, through a churn step.
+    /// admission, across threads, through a churn step.
     #[test]
     fn batched_warm_admission_matches_sequential_cold(
         seed in 0u64..1_000_000,
@@ -79,76 +78,69 @@ proptest! {
         drop_index in 0usize..4,
     ) {
         let (topology, set) = sweep_set(seed, n_flows, utilization);
-        for strategy in [FixedPointStrategy::Picard, FixedPointStrategy::Anderson1] {
-            for threads in [1usize, 4] {
-                let config = AnalysisConfig::paper()
-                    .with_strategy(strategy)
-                    .with_threads(threads);
-                let mut warm = AdmissionController::new(topology.clone(), config)
-                    .with_mode(AdmissionMode::Warm);
-                let mut cold = AdmissionController::new(
-                    topology.clone(),
-                    AnalysisConfig::paper().with_strategy(strategy),
-                )
+        for threads in [1usize, 4] {
+            let config = AnalysisConfig::paper().with_threads(threads);
+            let mut warm = AdmissionController::new(topology.clone(), config)
+                .with_mode(AdmissionMode::Warm);
+            let mut cold = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
                 .with_mode(AdmissionMode::Cold);
 
-                let bindings = set.bindings();
-                let (first, second) = bindings.split_at(bindings.len() / 2);
-                for (half, chunk_set) in [first, second].iter().enumerate() {
-                    for chunk in chunk_set.chunks(batch) {
-                        let requests: Vec<AdmissionRequest> = chunk
-                            .iter()
-                            .map(|b| {
-                                AdmissionRequest::new(
-                                    b.flow.clone(),
-                                    b.route.clone(),
-                                    b.priority,
-                                )
-                            })
-                            .collect();
-                        let warm_decisions = warm.request_batch(requests.clone()).unwrap();
-                        // The cold oracle takes the same requests one at a
-                        // time — the semantics request_batch must preserve.
-                        for (request, warm_decision) in
-                            requests.into_iter().zip(&warm_decisions)
-                        {
-                            let cold_decision =
-                                cold.request_batch([request]).unwrap().pop().unwrap();
-                            assert_decisions_match(
-                                warm_decision,
-                                &cold_decision,
-                                &format!("strategy {strategy:?}, threads {threads}"),
-                            );
-                        }
-                    }
-                    // Churn between the halves: the same departure on both
-                    // controllers must keep them in lockstep.
-                    if half == 0 {
-                        let ids: Vec<_> = warm.accepted().ids().collect();
-                        if !ids.is_empty() {
-                            let departing = ids[drop_index % ids.len()];
-                            warm.release(departing).unwrap();
-                            cold.release(departing).unwrap();
-                        }
+            let bindings = set.bindings();
+            let (first, second) = bindings.split_at(bindings.len() / 2);
+            for (half, chunk_set) in [first, second].iter().enumerate() {
+                for chunk in chunk_set.chunks(batch) {
+                    let requests: Vec<AdmissionRequest> = chunk
+                        .iter()
+                        .map(|b| {
+                            AdmissionRequest::new(
+                                b.flow.clone(),
+                                b.route.clone(),
+                                b.priority,
+                            )
+                        })
+                        .collect();
+                    let warm_decisions = warm.request_batch(requests.clone()).unwrap();
+                    // The cold oracle takes the same requests one at a
+                    // time — the semantics request_batch must preserve.
+                    for (request, warm_decision) in
+                        requests.into_iter().zip(&warm_decisions)
+                    {
+                        let cold_decision =
+                            cold.request_batch([request]).unwrap().pop().unwrap();
+                        assert_decisions_match(
+                            warm_decision,
+                            &cold_decision,
+                            &format!("threads {threads}"),
+                        );
                     }
                 }
-
-                prop_assert_eq!(warm.accepted(), cold.accepted());
-                prop_assert_eq!(warm.partition(), &DependencyGraph::new(warm.accepted()));
-
-                // Independent final oracle: the reference engine (keyed,
-                // sequential Picard) agrees on the surviving set's bounds.
-                if strategy == FixedPointStrategy::Picard && !warm.accepted().is_empty() {
-                    let reference = analyze_reference(
-                        &topology,
-                        warm.accepted(),
-                        &AnalysisConfig::paper(),
-                    )
-                    .unwrap();
-                    let reanalyzed = warm.reanalyze().unwrap();
-                    prop_assert_eq!(&reference.flows, &reanalyzed.flows);
-                    prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
+                // Churn between the halves: the same departure on both
+                // controllers must keep them in lockstep.
+                if half == 0 {
+                    let ids: Vec<_> = warm.accepted().ids().collect();
+                    if !ids.is_empty() {
+                        let departing = ids[drop_index % ids.len()];
+                        warm.release(departing).unwrap();
+                        cold.release(departing).unwrap();
+                    }
                 }
+            }
+
+            prop_assert_eq!(warm.accepted(), cold.accepted());
+            prop_assert_eq!(warm.partition(), &DependencyGraph::new(warm.accepted()));
+
+            // Independent final oracle: the reference engine (keyed,
+            // sequential Picard) agrees on the surviving set's bounds.
+            if !warm.accepted().is_empty() {
+                let reference = analyze_reference(
+                    &topology,
+                    warm.accepted(),
+                    &AnalysisConfig::paper(),
+                )
+                .unwrap();
+                let reanalyzed = warm.reanalyze().unwrap();
+                prop_assert_eq!(&reference.flows, &reanalyzed.flows);
+                prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
             }
         }
     }
