@@ -6,9 +6,9 @@
 //! of *accepted ∪ {candidate}* shows every frame of every flow (old and
 //! new) still meeting its deadline.  [`AdmissionController`] implements
 //! exactly that protocol — plus flow departures ([`AdmissionController::release`])
-//! and a **sharded, warm-started incremental engine** that makes the
-//! per-request cost depend on the candidate's dependency closure rather
-//! than on how many flows are admitted network-wide.
+//! and a **sharded** engine that makes the per-request cost depend on the
+//! candidate's shard rather than on how many flows are admitted
+//! network-wide.
 //!
 //! # The sharded admission plane
 //!
@@ -24,33 +24,31 @@
 //!    **concurrently** via `gmf-par` (deterministically: the lane
 //!    assignment and every result are pure functions of the inputs, never
 //!    of scheduling);
-//! 2. each trial analyses only the candidate's shard (the union of the
-//!    shards its route touches), **warm-started** from the per-shard
-//!    slice of the cached converged [`JitterMap`] with re-verification
-//!    scoped by `affected_flows` — flows outside the closure keep their
-//!    cached [`FlowReport`] verbatim;
-//! 3. a lane seeds its warm state **once** from the shared cache and
-//!    rolls it forward across its requests, amortising cache extraction
-//!    over every candidate targeting the same shard;
-//! 4. the engine **falls back to a cold per-shard restart** whenever the
-//!    shard's dependency graph is cyclic (warm seeds could latch onto a
-//!    non-least fixed point) or the warm run fails to converge — so every
+//! 2. each trial is **one cold holistic solve** over the candidate's shard
+//!    (the union of the shards its route touches) plus the candidate.
+//!    Disjoint shards cannot influence each other's bounds, so every
 //!    decision, bound, failure string and victim attribution is
 //!    byte-identical to a global cold analysis of the same trial set,
-//!    restricted to the candidate's shard (disjoint shards cannot
-//!    influence each other's bounds).
+//!    restricted to the candidate's shard;
+//! 3. a lane rolls its accepted subset and partition forward across its
+//!    requests, so each trial sees the lane's earlier acceptances exactly
+//!    as a sequential submission would;
+//! 4. an accepted trial refreshes the controller's **report cache**
+//!    ([`AdmissionController::cached_reports`]) for every flow of the
+//!    merged shard — the converged bounds the survivability sweep reads
+//!    for the flows a failure does not touch.
 //!
-//! In [`AdmissionMode::Warm`] a decision's report therefore covers the
+//! In [`AdmissionMode::Sharded`] a decision's report therefore covers the
 //! **candidate's shard**, not the whole accepted set; in
 //! [`AdmissionMode::Cold`] every trial re-runs the global fixed point
 //! from scratch and reports on every flow (the reference behaviour).
 //!
-//! Departures keep the cache warm too: [`AdmissionController::release`]
-//! drops the departed flow's jitters and invalidates only the cached
-//! reports of flows within the departed flow's shard that its departure
-//! can influence; everything else stays frozen.
+//! Departures keep the report cache exact: [`AdmissionController::release`]
+//! drops the cached reports of every flow in the departed flow's
+//! (pre-removal) shard — the next trial on that shard re-solves all of it
+//! anyway — and leaves every other shard's reports untouched.
 //! [`AdmissionController::release_batch`] does the same for many flows
-//! with one closure and one partition rebuild per touched shard.
+//! with one partition rebuild per touched shard.
 //!
 //! # All-or-nothing admission
 //!
@@ -60,18 +58,15 @@
 //! cold holistic solve** over the closed trial set — the union of the
 //! shards any request's route touches, plus every request.  A schedulable
 //! trial commits every request under the ids `request_batch` would have
-//! reserved and folds the run into the warm cache; anything else leaves
-//! the controller untouched and consumes no id, so the caller can replay
-//! the same requests through `request_batch` to learn which are rejected.
+//! reserved and refreshes the report cache; anything else leaves the
+//! controller untouched and consumes no id, so the caller can replay the
+//! same requests through `request_batch` to learn which are rejected.
 
 use crate::config::AnalysisConfig;
-use crate::context::{AnalysisContext, JitterMap};
+use crate::context::AnalysisContext;
 use crate::deps::{DependencyGraph, ShardId};
 use crate::error::AnalysisError;
-use crate::fixed_point::{
-    acyclic_affected_flows, affected_flows, iterate, iterate_scoped, ConvergenceTrace,
-    FixedPointRun, Scope,
-};
+use crate::fixed_point::{iterate, ConvergenceTrace, FixedPointRun};
 use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::{EncapsulationConfig, FlowId, GmfFlow};
 use gmf_net::{FlowBinding, FlowSet, NodeId, Priority, Route, Topology};
@@ -88,23 +83,22 @@ pub enum AdmissionMode {
     /// analyses per round, every round).  Decision reports cover every
     /// flow of the trial set.
     Cold,
-    /// Analyse only the candidate's shard, warm-started from the cached
-    /// converged jitter map; decisions, bounds and failure attribution
-    /// are byte-identical to [`AdmissionMode::Cold`], but reports cover
-    /// the candidate's shard only.
+    /// Analyse only the candidate's shard, with one cold solve; decisions,
+    /// bounds and failure attribution are byte-identical to
+    /// [`AdmissionMode::Cold`], but reports cover the candidate's shard
+    /// only.
     #[default]
-    Warm,
+    Sharded,
 }
 
 impl std::fmt::Display for AdmissionMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AdmissionMode::Cold => write!(f, "cold"),
-            AdmissionMode::Warm => write!(f, "warm"),
+            AdmissionMode::Sharded => write!(f, "sharded"),
         }
     }
 }
-
 /// What (or rather whom) a rejection protects, derived from the trial
 /// report's deadline misses.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,31 +120,25 @@ pub enum AdmissionVictim {
     },
 }
 
-/// What one admission decision cost, summed over every analysis run behind
-/// it (the warm trial plus a cold fallback rerun, when one happened).
-///
-/// One accounting gap, accepted for simplicity: a warm attempt that dies
-/// with a *hard error* (possible only from a stale post-departure seed)
-/// surfaces no counters, so its partial work is not included — the rare
-/// error path under-reports, never the common ones.
+/// What one admission decision cost: the one holistic solve behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecisionCost {
-    /// Total holistic rounds.
+    /// Holistic rounds of the trial's solve.
     pub rounds: usize,
-    /// Total per-flow pipeline analyses (≈ rounds × flows re-verified per
-    /// round) — the metric that shrinks when warm starts and dependency
-    /// scoping kick in.
+    /// Per-flow pipeline analyses of the trial's solve (≈ rounds × trial
+    /// flows, fewer when round skipping reuses an analysis) — the metric
+    /// that shrinks when sharding limits the trial set.
     pub flow_analyses: usize,
-    /// `true` if the final report came from the warm-started,
-    /// dependency-scoped path (false: cold mode, cyclic dependency graph,
-    /// empty cache, or a cold fallback rerun).
+    /// Always `false`: trials are cold solves.  The field stays so
+    /// serialized decisions and the benchmark harness that reads it keep
+    /// their shape.
     pub warm: bool,
     /// The shard the trial analysed: the smallest flow id of the trial
     /// set (in [`AdmissionMode::Cold`], the whole trial set counts as one
     /// shard).
     pub shard: ShardId,
     /// How many flows that shard held, candidate included — the size of
-    /// the set the trial had to re-verify at most.
+    /// the set the trial re-verified.
     pub shard_flows: usize,
 }
 
@@ -234,7 +222,7 @@ pub enum AdmissionDecision {
         /// Identifier of the admitted flow within the controller's flow set.
         id: FlowId,
         /// The analysis report of the trial: the candidate's shard in
-        /// [`AdmissionMode::Warm`], the whole accepted set (including the
+        /// [`AdmissionMode::Sharded`], the whole accepted set (including the
         /// new flow) in [`AdmissionMode::Cold`].
         report: AnalysisReport,
         /// What the decision cost.
@@ -255,7 +243,7 @@ pub enum AdmissionDecision {
         /// overload or divergence, where `reason` carries the detail).
         victim: Option<AdmissionVictim>,
         /// The analysis report of the trial (shard-scoped in
-        /// [`AdmissionMode::Warm`], global in [`AdmissionMode::Cold`]).
+        /// [`AdmissionMode::Sharded`], global in [`AdmissionMode::Cold`]).
         report: AnalysisReport,
         /// What the decision cost.
         cost: DecisionCost,
@@ -339,27 +327,10 @@ pub struct PreloadStats {
     pub flow_analyses: usize,
 }
 
-/// The converged state of the accepted set, kept between requests by the
-/// warm engine.
-///
-/// Per-flow invariant: a flow with a cached report always also has its
-/// converged jitter entries (`reports ⊆ jitter-bearing flows`) — a frozen
-/// report is only sound when the interference inputs it was computed from
-/// are in the seed.  The reverse direction may break after departures:
-/// jitters can outlive their report (stale-from-above seeds are still
-/// valid on acyclic shards; the cold fallback covers spurious aborts).
-#[derive(Debug, Clone, Default)]
-struct WarmCache {
-    /// The converged jitter iterate of the last verified analysis of each
-    /// shard.
-    jitters: JitterMap,
-    /// Converged per-flow reports that are known fresh, shared with the
-    /// scoped engine rounds (which carry them by `Arc` instead of cloning
-    /// them once per round).  Flows missing here (their reports were
-    /// invalidated by a departure) are always re-verified on the next
-    /// trial.
-    reports: BTreeMap<FlowId, Arc<FlowReport>>,
-}
+/// Converged per-flow reports of the accepted set, keyed by flow id.
+/// Reports are shared by `Arc`, so cloning a controller (the survivability
+/// sweep does once per scenario) does not deep-copy them.
+type ReportCache = BTreeMap<FlowId, Arc<FlowReport>>;
 
 /// The conflict-footprint tokens of one batched request: two requests
 /// sharing any token must run in the same lane.
@@ -381,16 +352,13 @@ struct LaneInput {
 }
 
 /// What one lane produced: per-request decisions, the bindings it
-/// accepted, its rolled-forward warm state and the first hard error (the
-/// lane stops there).
+/// accepted, the reports of its accepted trials (in trial order, so a
+/// later trial's report of a flow supersedes an earlier one) and the first
+/// hard error (the lane stops there).
 struct LaneOutput {
     decisions: Vec<(usize, AdmissionDecision)>,
     commits: Vec<(usize, FlowBinding)>,
-    jitters: JitterMap,
-    reports: BTreeMap<FlowId, Arc<FlowReport>>,
-    /// Every flow the merged-back cache slice covers: the lane's starting
-    /// members plus its accepted candidates.
-    touched: BTreeSet<FlowId>,
+    reports: Vec<FlowReport>,
     error: Option<(usize, AnalysisError)>,
 }
 
@@ -401,7 +369,9 @@ pub struct AdmissionController {
     accepted: FlowSet,
     config: AnalysisConfig,
     mode: AdmissionMode,
-    cache: Option<WarmCache>,
+    /// `None` in [`AdmissionMode::Cold`] and after a hard error dropped
+    /// it.
+    cache: Option<ReportCache>,
     /// The shard partition of `accepted`, maintained incrementally under
     /// every accept and release (in both modes — releases scope their
     /// invalidation with it).
@@ -409,8 +379,8 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// Create a controller with no accepted flows, using the incremental
-    /// warm engine ([`AdmissionMode::Warm`]).
+    /// Create a controller with no accepted flows, using the sharded
+    /// engine ([`AdmissionMode::Sharded`]).
     pub fn new(topology: Topology, config: AnalysisConfig) -> Self {
         AdmissionController {
             topology,
@@ -424,7 +394,7 @@ impl AdmissionController {
 
     /// Create a controller over an already-admitted flow set (an operator
     /// restoring state), verifying it shard by shard — concurrently, with
-    /// `config.threads` workers — and seeding the warm cache from the
+    /// `config.threads` workers — and seeding the report cache from the
     /// per-shard converged analyses.
     ///
     /// Fails with [`AnalysisError::PreloadUnschedulable`] (naming the
@@ -486,18 +456,13 @@ impl AdmissionController {
             rounds: 0,
             flow_analyses: 0,
         };
-        let mut cache = WarmCache::default();
+        let mut cache = ReportCache::new();
         for run in runs {
             let run = run?;
             stats.rounds += run.report.iterations;
             stats.flow_analyses += run.flow_analyses;
-            if let Some(jitters) = run.jitters {
-                for (&(flow, resource), values) in jitters.iter() {
-                    cache.jitters.insert_raw(flow, resource, values.clone());
-                }
-            }
             for flow in run.report.flows {
-                cache.reports.insert(flow.flow, Arc::new(flow));
+                cache.insert(flow.flow, Arc::new(flow));
             }
         }
         Ok((
@@ -505,7 +470,7 @@ impl AdmissionController {
                 topology,
                 accepted,
                 config,
-                mode: AdmissionMode::Warm,
+                mode: AdmissionMode::Sharded,
                 cache: Some(cache),
                 partition,
             },
@@ -513,10 +478,9 @@ impl AdmissionController {
         ))
     }
 
-    /// Override the trial-analysis mode (cold global restarts vs
-    /// incremental shard-scoped warm starts); decisions are
-    /// byte-identical either way, but warm reports cover the candidate's
-    /// shard only.
+    /// Override the trial-analysis mode (cold global solves vs one cold
+    /// solve per candidate shard); decisions are byte-identical either
+    /// way, but sharded reports cover the candidate's shard only.
     pub fn with_mode(mut self, mode: AdmissionMode) -> Self {
         self.mode = mode;
         if mode == AdmissionMode::Cold {
@@ -565,7 +529,7 @@ impl AdmissionController {
     /// routes touch disjoint shards (and share no directed link) cannot
     /// influence each other, so the controller runs them concurrently —
     /// grouped into lanes with `config.threads` workers in
-    /// [`AdmissionMode::Warm`] — with byte-identical decisions at any
+    /// [`AdmissionMode::Sharded`] — with byte-identical decisions at any
     /// thread count.
     ///
     /// Every request consumes exactly one flow id, accepted or rejected:
@@ -578,7 +542,7 @@ impl AdmissionController {
     /// All routes are validated up front; an invalid route fails the
     /// whole batch before any id is consumed or any trial runs.  A hard
     /// analysis error (not a rejection — those are decisions) at request
-    /// `i` commits the acceptances of requests `0..i`, drops the warm
+    /// `i` commits the acceptances of requests `0..i`, drops the report
     /// cache and returns the error; decisions of the earlier requests
     /// are discarded with it.
     pub fn request_batch(
@@ -599,7 +563,7 @@ impl AdmissionController {
             .collect();
         match self.mode {
             AdmissionMode::Cold => self.batch_cold(bindings),
-            AdmissionMode::Warm => self.batch_warm(bindings),
+            AdmissionMode::Sharded => self.batch_sharded(bindings),
         }
     }
 
@@ -623,17 +587,7 @@ impl AdmissionController {
         for binding in bindings {
             let mut trial = self.accepted.clone();
             trial.insert(binding.clone()).map_err(AnalysisError::Net)?;
-            let ctx = AnalysisContext::new(&self.topology, &trial)?;
-            let run = iterate(&ctx, &self.config)?;
-            drop(ctx);
-            let cost = DecisionCost {
-                rounds: run.report.iterations,
-                flow_analyses: run.flow_analyses,
-                warm: false,
-                shard: ShardId(trial.bindings()[0].id),
-                shard_flows: trial.len(),
-            };
-            let decision = build_decision(binding.id, run.report, cost);
+            let decision = decide(&self.topology, &trial, binding.id, &self.config)?;
             if decision.is_accepted() {
                 self.partition.insert(&binding);
                 self.accepted = trial;
@@ -643,8 +597,8 @@ impl AdmissionController {
         Ok(decisions)
     }
 
-    /// The warm batch path: shard-scoped lanes running concurrently.
-    fn batch_warm(
+    /// The sharded batch path: shard-scoped lanes running concurrently.
+    fn batch_sharded(
         &mut self,
         bindings: Vec<FlowBinding>,
     ) -> Result<Vec<AdmissionDecision>, AnalysisError> {
@@ -751,25 +705,19 @@ impl AdmissionController {
             return Err(error);
         }
 
-        // No errors: fold every lane's rolled-forward warm state back
-        // into the shared cache (lanes are disjoint, so slices never
-        // overlap) and assemble the decisions in submission order.
-        let mut cache = self.cache.take().unwrap_or_default();
+        // No errors: refresh the cached reports of every accepted trial's
+        // flows (lanes are disjoint, so their reports never overlap) and
+        // assemble the decisions in submission order.
+        let cache = self.cache.get_or_insert_with(ReportCache::new);
         let mut decisions: Vec<Option<AdmissionDecision>> = (0..n).map(|_| None).collect();
         for output in outputs {
-            for flow in &output.touched {
-                cache.jitters.remove_flow(*flow);
-                cache.reports.remove(flow);
+            for report in output.reports {
+                cache.insert(report.flow, Arc::new(report));
             }
-            for (&(flow, resource), values) in output.jitters.iter() {
-                cache.jitters.insert_raw(flow, resource, values.clone());
-            }
-            cache.reports.extend(output.reports);
             for (index, decision) in output.decisions {
                 decisions[index] = Some(decision);
             }
         }
-        self.cache = Some(cache);
         Ok(decisions
             .into_iter()
             // tidy-allow: unwrap invariant: error-free lanes decide every request
@@ -778,8 +726,8 @@ impl AdmissionController {
     }
 
     /// Process one lane: its requests in submission order, against a
-    /// lane-local accepted subset, partition and warm-cache slice that
-    /// roll forward across the lane's acceptances.
+    /// lane-local accepted subset and partition that roll forward across
+    /// the lane's acceptances.
     fn run_lane(
         &self,
         lane: &LaneInput,
@@ -788,137 +736,41 @@ impl AdmissionController {
     ) -> LaneOutput {
         let mut lane_set = self.accepted.subset(lane.members.iter().copied());
         let mut lane_partition = DependencyGraph::new(&lane_set);
-        // Seed the lane's warm state once from the shared cache; every
-        // request of the lane then reuses (and, on acceptance, advances)
-        // this slice — the amortised warm-cache seeding.
-        let mut lane_jitters = JitterMap::default();
-        let mut lane_reports: BTreeMap<FlowId, Arc<FlowReport>> = BTreeMap::new();
-        if let Some(cache) = &self.cache {
-            for &flow in &lane.members {
-                cache.jitters.copy_flow_into(flow, &mut lane_jitters);
-                if let Some(report) = cache.reports.get(&flow) {
-                    lane_reports.insert(flow, Arc::clone(report));
-                }
-            }
-        }
         let mut out = LaneOutput {
             decisions: Vec::with_capacity(lane.indices.len()),
             commits: Vec::new(),
-            jitters: JitterMap::default(),
-            reports: BTreeMap::new(),
-            touched: lane.members.clone(),
+            reports: Vec::new(),
             error: None,
         };
         for &index in &lane.indices {
-            let binding = bindings[index].clone();
+            let binding = &bindings[index];
             // The candidate's trial set: the union of the shards its
             // route touches (within the lane's rolled-forward state),
             // plus the candidate itself.
             let touched = lane_partition.shards_touching_route(&binding.route);
             let mut trial = lane_set.subset(lane_partition.members_of(&touched));
-            if let Err(e) = trial.insert(binding.clone()) {
-                out.error = Some((index, AnalysisError::Net(e)));
-                break;
-            }
-            let ctx = match AnalysisContext::new(&self.topology, &trial) {
-                Ok(ctx) => ctx,
+            let decision = trial
+                .insert(binding.clone())
+                .map_err(AnalysisError::Net)
+                .and_then(|_| decide(&self.topology, &trial, binding.id, config));
+            let decision = match decision {
+                Ok(decision) => decision,
                 Err(e) => {
                     out.error = Some((index, e));
                     break;
                 }
             };
-
-            // Warm attempt: seed from the lane's jitter slice, restricted
-            // to the trial's members.  An empty seed means the shard has
-            // no cached state at all — go straight to the cold path.
-            let mut seed = JitterMap::default();
-            for flow in trial.ids().filter(|&f| f != binding.id) {
-                lane_jitters.copy_flow_into(flow, &mut seed);
-            }
-            let mut cost = DecisionCost {
-                rounds: 0,
-                flow_analyses: 0,
-                warm: false,
-                shard: ShardId(trial.bindings()[0].id),
-                shard_flows: trial.len(),
-            };
-            let mut run: Option<FixedPointRun> = None;
-            if seed.iter().next().is_some() {
-                match warm_shard_trial(&ctx, config, &trial, binding.id, seed, &lane_reports) {
-                    Ok(Some(warm)) => {
-                        cost.rounds += warm.report.iterations;
-                        cost.flow_analyses += warm.flow_analyses;
-                        if warm.report.converged {
-                            cost.warm = true;
-                            run = Some(warm);
-                        }
-                    }
-                    Ok(None) => {}
-                    // A seed above the fixed point (stale after
-                    // departures) can turn jitter-dependent inner
-                    // iterations into hard errors a cold run never hits.
-                    // The verdict must not depend on the seed, so restart
-                    // cold — structural errors reproduce identically
-                    // there.
-                    Err(_) => {}
-                }
-            }
-            let run = match run {
-                Some(run) => run,
-                None => match iterate(&ctx, config) {
-                    Ok(cold) => {
-                        cost.rounds += cold.report.iterations;
-                        cost.flow_analyses += cold.flow_analyses;
-                        cold
-                    }
-                    Err(e) => {
-                        out.error = Some((index, e));
-                        break;
-                    }
-                },
-            };
-            drop(ctx);
-
-            let FixedPointRun {
-                report, jitters, ..
-            } = run;
-            if report.schedulable {
-                // Roll the lane state forward: register the candidate and
-                // refresh the warm slice of every trial flow from the
-                // converged run.
-                for flow in trial.ids() {
-                    lane_jitters.remove_flow(flow);
-                }
-                match jitters {
-                    Some(jitters) => {
-                        for (&(flow, resource), values) in jitters.iter() {
-                            lane_jitters.insert_raw(flow, resource, values.clone());
-                        }
-                        for flow in &report.flows {
-                            lane_reports.insert(flow.flow, Arc::new(flow.clone()));
-                        }
-                    }
-                    // No converged map handed back (cannot happen for a
-                    // schedulable report, but stay safe): drop the lane's
-                    // warm state rather than risk a stale slice.
-                    None => {
-                        lane_jitters = JitterMap::default();
-                        lane_reports.clear();
-                    }
-                }
-                lane_partition.insert(&binding);
+            if decision.is_accepted() {
+                out.reports.extend(decision.report().flows.iter().cloned());
+                lane_partition.insert(binding);
                 lane_set
                     .insert(binding.clone())
                     // tidy-allow: unwrap invariant: batch ids are reserved and unique
                     .expect("batch ids are reserved and unique");
-                out.touched.insert(binding.id);
                 out.commits.push((index, binding.clone()));
             }
-            out.decisions
-                .push((index, build_decision(binding.id, report, cost)));
+            out.decisions.push((index, decision));
         }
-        out.jitters = lane_jitters;
-        out.reports = lane_reports;
         out
     }
 
@@ -931,11 +783,11 @@ impl AdmissionController {
     /// (an invalid route is an error, before anything else happens).  If
     /// the trial is schedulable, request `i` is registered under id
     /// `base + i` — exactly the ids `request_batch` would reserve — the
-    /// run's jitters and reports replace the trial flows' warm-cache
-    /// entries, and the result carries `Some(base)`.  Otherwise (a miss,
-    /// an abort or an analysis error) it carries `None`, the controller
-    /// is untouched and no id is consumed, so a following `request_batch`
-    /// of the same requests decides them one by one under the same ids.
+    /// run's reports refresh the trial flows' cached reports, and the
+    /// result carries `Some(base)`.  Otherwise (a miss, an abort or an
+    /// analysis error) it carries `None`, the controller is untouched and
+    /// no id is consumed, so a following `request_batch` of the same
+    /// requests decides them one by one under the same ids.
     ///
     /// The trial set is closed under link sharing, so its cold analysis
     /// restricted to any member equals the analysis of that member's
@@ -983,10 +835,9 @@ impl AdmissionController {
         };
         cost.rounds = run.report.iterations;
         cost.flow_analyses = run.flow_analyses;
-        let jitters = match run.jitters {
-            Some(jitters) if run.report.schedulable => jitters,
-            _ => return Ok((None, cost)),
-        };
+        if !run.report.schedulable {
+            return Ok((None, cost));
+        }
 
         self.accepted.reserve_ids(requests.len());
         for binding in bindings {
@@ -996,18 +847,11 @@ impl AdmissionController {
                 // tidy-allow: unwrap invariant: the ids were reserved for this batch
                 .expect("batch ids are reserved and unique");
         }
-        if self.mode == AdmissionMode::Warm {
-            let mut cache = self.cache.take().unwrap_or_default();
-            for flow in trial.ids() {
-                cache.jitters.remove_flow(flow);
-            }
-            for (&(flow, resource), values) in jitters.iter() {
-                cache.jitters.insert_raw(flow, resource, values.clone());
-            }
+        if self.mode == AdmissionMode::Sharded {
+            let cache = self.cache.get_or_insert_with(ReportCache::new);
             for flow in run.report.flows {
-                cache.reports.insert(flow.flow, Arc::new(flow));
+                cache.insert(flow.flow, Arc::new(flow));
             }
-            self.cache = Some(cache);
         }
         Ok((Some(base), cost))
     }
@@ -1015,40 +859,14 @@ impl AdmissionController {
     /// Release (tear down) an accepted flow — the departure half of the
     /// admission protocol.  Returns the removed binding.
     ///
-    /// The warm cache survives the departure: only the cached reports of
-    /// flows the departed flow could influence are invalidated (they are
-    /// re-verified on the next request); everything else stays frozen.
-    /// The invalidation set is computed within the departing flow's shard
-    /// — flows outside it cannot be influenced — so a release costs
-    /// O(shard), not O(accepted).
+    /// The report cache survives the departure: only the cached reports
+    /// of the departed flow's (pre-removal) shard are dropped — they are
+    /// re-verified by the next trial on that shard; every other shard's
+    /// reports stay exact.  A release costs O(shard), not O(accepted).
     pub fn release(&mut self, id: FlowId) -> Result<FlowBinding, AnalysisError> {
-        // Compute the invalidation set on the *pre-removal* shard: the
-        // departed flow's interference edges still exist there.
-        let affected = if self.cache.is_some() && self.accepted.contains(id) {
-            self.partition
-                .shard_of(id)
-                .and_then(|shard| self.partition.shard_flows(shard))
-                .map(|members| self.accepted.subset(members.iter().copied()))
-                .and_then(|shard_set| affected_flows(&shard_set, &[id]))
-        } else {
-            None
-        };
-        let binding = self.accepted.remove(id).map_err(AnalysisError::Net)?;
-        self.partition.remove(&binding, &self.accepted);
-        if let Some(cache) = self.cache.as_mut() {
-            match affected {
-                Some(affected) => {
-                    cache.jitters.remove_flow(id);
-                    for flow in affected {
-                        cache.reports.remove(&flow);
-                    }
-                }
-                // No dependency information: drop the whole cache and let
-                // the next request restart cold.
-                None => self.cache = None,
-            }
-        }
-        Ok(binding)
+        let mut removed = self.release_batch(&[id])?;
+        // tidy-allow: unwrap invariant: a successful one-id batch removes one binding
+        Ok(removed.pop().expect("one id releases one binding"))
     }
 
     /// Release several accepted flows at once — the multi-flow stranding
@@ -1056,17 +874,12 @@ impl AdmissionController {
     /// every flow routed over it.
     ///
     /// Equivalent to calling [`AdmissionController::release`] on the ids
-    /// one at a time in order, except the warm cache is invalidated
-    /// *once*, with the union of the per-flow invalidation sets.  The
-    /// union is computed on the pre-removal partition — a superset of
-    /// what the sequential releases would invalidate step by step, and
-    /// invalidating more only costs re-verification, never soundness.
-    ///
-    /// The work is done once per touched shard, not once per id: a shard
-    /// released whole invalidates exactly its members (each member is in
-    /// its own closure), a partly released shard takes one closure from
-    /// all its departing flows together, and the partition rebuilds each
-    /// touched shard once.
+    /// one at a time in order, except that the work is done once per
+    /// touched shard, not once per id: the cached reports of every
+    /// touched pre-removal shard are dropped together (a superset of what
+    /// the sequential releases would drop step by step — dropping more
+    /// only costs re-verification, never soundness), and the partition
+    /// rebuilds each touched shard once.
     ///
     /// The batch is atomic: every id must name a distinct accepted flow,
     /// or the whole call fails with [`gmf_net::NetError::UnknownFlow`]
@@ -1079,61 +892,28 @@ impl AdmissionController {
                 return Err(AnalysisError::Net(gmf_net::NetError::UnknownFlow(id.0)));
             }
         }
-        // Compute the invalidation union on the *pre-removal* shards: the
-        // departing flows' interference edges still exist there.
-        let affected = if self.cache.is_some() {
-            self.release_closure(ids)
-        } else {
-            None
-        };
+        // Invalidate on the *pre-removal* shards: a departure can change
+        // the bounds of any flow it shared a shard with.
+        if let Some(cache) = self.cache.as_mut() {
+            let shards: BTreeSet<ShardId> = ids
+                .iter()
+                .filter_map(|&id| self.partition.shard_of(id))
+                .collect();
+            let shards: Vec<ShardId> = shards.into_iter().collect();
+            for flow in self.partition.members_of(&shards) {
+                cache.remove(&flow);
+            }
+        }
         let bindings = ids
             .iter()
             .map(|&id| self.accepted.remove(id).map_err(AnalysisError::Net))
             .collect::<Result<Vec<FlowBinding>, AnalysisError>>()?;
         self.partition.remove_batch(&bindings, &self.accepted);
-        if let Some(cache) = self.cache.as_mut() {
-            match affected {
-                Some(affected) => {
-                    for &id in ids {
-                        cache.jitters.remove_flow(id);
-                    }
-                    for flow in affected {
-                        cache.reports.remove(&flow);
-                    }
-                }
-                // No dependency information for some departing flow: drop
-                // the whole cache and let the next request restart cold.
-                None => self.cache = None,
-            }
-        }
         Ok(bindings)
     }
 
-    /// The union of the departing flows' invalidation closures, one
-    /// pre-removal shard at a time; `None` without dependency information.
-    fn release_closure(&self, ids: &[FlowId]) -> Option<BTreeSet<FlowId>> {
-        let mut seeds_by_shard: BTreeMap<ShardId, Vec<FlowId>> = BTreeMap::new();
-        for &id in ids {
-            seeds_by_shard
-                .entry(self.partition.shard_of(id)?)
-                .or_default()
-                .push(id);
-        }
-        let mut union = BTreeSet::new();
-        for (shard, seeds) in seeds_by_shard {
-            let members = self.partition.shard_flows(shard)?;
-            if seeds.len() == members.len() {
-                union.extend(members.iter().copied());
-            } else {
-                let shard_set = self.accepted.subset(members.iter().copied());
-                union.extend(affected_flows(&shard_set, &seeds)?);
-            }
-        }
-        Some(union)
-    }
-
     /// Swap the managed topology for a new one *without* invalidating the
-    /// warm cache — the survivability sweep's bridge from the pristine
+    /// report cache — the survivability sweep's bridge from the pristine
     /// network to a survivor network.
     ///
     /// Sound only when every **retained** flow's analysis inputs are
@@ -1191,19 +971,17 @@ impl AdmissionController {
         Ok(())
     }
 
-    /// The warm cache's converged per-flow reports, in flow-id order —
+    /// The report cache's converged per-flow reports, in flow-id order —
     /// empty in [`AdmissionMode::Cold`] or after the cache was dropped.
     ///
-    /// A cached report is exact for the current accepted set: reports
-    /// that a departure or a trial could have changed are invalidated
-    /// eagerly and only re-inserted by a converged analysis.
+    /// A cached report is exact for the current accepted set: an accepted
+    /// trial refreshes the report of every flow in the merged shard, and a
+    /// departure drops every report of the departed flow's shard until
+    /// the next accepted trial there re-solves it.
     pub fn cached_reports(&self) -> impl Iterator<Item = (FlowId, &FlowReport)> + '_ {
-        self.cache.iter().flat_map(|cache| {
-            cache
-                .reports
-                .iter()
-                .map(|(id, report)| (*id, report.as_ref()))
-        })
+        self.cache
+            .iter()
+            .flat_map(|cache| cache.iter().map(|(id, report)| (*id, report.as_ref())))
     }
 
     /// Re-run the analysis of the currently accepted set (e.g. after the
@@ -1211,6 +989,26 @@ impl AdmissionController {
     pub fn reanalyze(&self) -> Result<AnalysisReport, AnalysisError> {
         crate::holistic::analyze(&self.topology, &self.accepted, &self.config)
     }
+}
+
+/// Decide `candidate` by one cold holistic solve over `trial` (which
+/// contains it).
+fn decide(
+    topology: &Topology,
+    trial: &FlowSet,
+    candidate: FlowId,
+    config: &AnalysisConfig,
+) -> Result<AdmissionDecision, AnalysisError> {
+    let ctx = AnalysisContext::new(topology, trial)?;
+    let run = iterate(&ctx, config)?;
+    let cost = DecisionCost {
+        rounds: run.report.iterations,
+        flow_analyses: run.flow_analyses,
+        warm: false,
+        shard: ShardId(trial.bindings()[0].id),
+        shard_flows: trial.len(),
+    };
+    Ok(build_decision(candidate, run.report, cost))
 }
 
 /// Turn a trial's report into the decision for `candidate`.
@@ -1247,56 +1045,6 @@ fn build_decision(
             cost,
         }
     }
-}
-
-/// Run the warm-started, dependency-scoped trial analysis of one shard,
-/// or return `None` when warm-starting is unsound or unavailable for this
-/// trial (cyclic dependency graph, unwalkable route).  `seed` holds the
-/// cached jitters of the trial's members (never the candidate's).
-fn warm_shard_trial(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    trial: &FlowSet,
-    candidate_id: FlowId,
-    mut seed: JitterMap,
-    cached_reports: &BTreeMap<FlowId, Arc<FlowReport>>,
-) -> Result<Option<FixedPointRun>, AnalysisError> {
-    // One dependency-graph construction answers both questions: is the
-    // trial acyclic (warm starts are unsound otherwise) and what the
-    // candidate can influence.
-    let Some(affected) = acyclic_affected_flows(trial, candidate_id) else {
-        return Ok(None);
-    };
-
-    // Re-verify the affected flows plus everything whose cached report a
-    // departure invalidated; freeze the rest (shared, not cloned — the
-    // engine carries frozen reports by `Arc`).
-    let mut active: BTreeSet<FlowId> = affected;
-    let mut frozen: BTreeMap<FlowId, Arc<FlowReport>> = BTreeMap::new();
-    for binding in trial.bindings() {
-        if active.contains(&binding.id) {
-            continue;
-        }
-        match cached_reports.get(&binding.id) {
-            Some(report) => {
-                frozen.insert(binding.id, Arc::clone(report));
-            }
-            None => {
-                active.insert(binding.id);
-            }
-        }
-    }
-
-    // Seed: cached converged jitters for the members, the paper's initial
-    // (source-jitter) entries for the candidate.
-    debug_assert!(seed.iter().all(|(&(flow, _), _)| flow != candidate_id));
-    seed.set_initial(trial.get(candidate_id).map_err(AnalysisError::Net)?);
-
-    let scope = Scope {
-        active: &active,
-        frozen: &frozen,
-    };
-    iterate_scoped(ctx, config, seed, &scope).map(Some)
 }
 
 #[cfg(test)]
@@ -1377,6 +1125,11 @@ mod tests {
             .collect()
     }
 
+    /// A report's flows in the shape of [`cache_snapshot`].
+    fn keyed(report: &AnalysisReport) -> Vec<(FlowId, FlowReport)> {
+        report.flows.iter().map(|f| (f.flow, f.clone())).collect()
+    }
+
     #[test]
     fn admit_all_matches_sequential_admission() {
         let (mut admitted_batches, mut refused_batches) = (0, 0);
@@ -1427,10 +1180,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Per-shard release bookkeeping invalidates exactly the union of
-        /// the per-flow closures, and keeps the partition exact.
+        /// Release bookkeeping drops exactly the cached reports of every
+        /// touched pre-removal shard, keeps every other report exact and
+        /// keeps the partition exact.
         #[test]
-        fn release_batch_invalidates_the_union_of_per_flow_closures(seed in 0u64..1_000_000) {
+        fn release_batch_invalidates_every_touched_shard(seed in 0u64..1_000_000) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (t, hosts) = random_network(&mut rng);
             let mut ctl = AdmissionController::new(t.clone(), AnalysisConfig::paper());
@@ -1450,14 +1204,12 @@ mod tests {
             for i in (1..ids.len()).rev() {
                 ids.swap(i, rng.gen_range(0..=i));
             }
-            // The oracle: one closure per released id, on its pre-removal
+            // The oracle: every member of each released id's pre-removal
             // shard.
             let mut expected = BTreeSet::new();
             for &id in &ids {
                 let shard = ctl.partition().shard_of(id).unwrap();
-                let members = ctl.partition().shard_flows(shard).unwrap();
-                let shard_set = ctl.accepted().subset(members.iter().copied());
-                expected.extend(affected_flows(&shard_set, &[id]).unwrap());
+                expected.extend(ctl.partition().shard_flows(shard).unwrap().iter().copied());
             }
             let before: BTreeSet<FlowId> = ctl.cached_reports().map(|(id, _)| id).collect();
             prop_assert!(expected.is_subset(&before));
@@ -1466,6 +1218,12 @@ mod tests {
             let invalidated: BTreeSet<FlowId> = before.difference(&after).copied().collect();
             prop_assert_eq!(invalidated, expected);
             prop_assert_eq!(ctl.partition(), &DependencyGraph::new(ctl.accepted()));
+            if !ctl.accepted().is_empty() {
+                let cold = ctl.reanalyze().unwrap();
+                for (id, report) in ctl.cached_reports() {
+                    prop_assert_eq!(Some(report), cold.flow(id));
+                }
+            }
         }
     }
 
@@ -1473,7 +1231,7 @@ mod tests {
     fn admits_feasible_flows_and_accumulates_them() {
         let (mut ctl, net) = controller();
         assert_eq!(ctl.n_accepted(), 0);
-        assert_eq!(ctl.mode(), AdmissionMode::Warm);
+        assert_eq!(ctl.mode(), AdmissionMode::Sharded);
 
         let route = shortest_path(ctl.topology(), net.hosts[1], net.hosts[3]).unwrap();
         let d = one(&mut ctl, voice(20.0), route, Priority(7));
@@ -1494,12 +1252,12 @@ mod tests {
         let d = one(&mut ctl, video, route, Priority(5));
         assert!(d.is_accepted());
         assert_eq!(ctl.n_accepted(), 2);
-        // The second trial ran warm off the cached converged map, scoped
-        // to the (single, merged) shard both flows share.
-        assert!(d.cost().warm);
+        // The second trial solved the (single, merged) shard both flows
+        // share, and its reports now fill the report cache.
         assert_eq!(d.cost().shard, ShardId(FlowId(0)));
         assert_eq!(d.cost().shard_flows, 2);
         assert_eq!(ctl.partition().n_shards(), 1);
+        assert_eq!(cache_snapshot(&ctl), keyed(d.report()));
 
         // Re-analysing the accepted set is still schedulable.
         assert!(ctl.reanalyze().unwrap().schedulable);
@@ -1613,7 +1371,7 @@ mod tests {
             ]
         };
         let (t, net) = paper_figure1();
-        let mut warm = AdmissionController::new(t.clone(), AnalysisConfig::paper());
+        let mut sharded = AdmissionController::new(t.clone(), AnalysisConfig::paper());
         let mut cold = AdmissionController::new(t.clone(), AnalysisConfig::paper())
             .with_mode(AdmissionMode::Cold);
         let submit = |ctl: &mut AdmissionController| -> Vec<AdmissionDecision> {
@@ -1622,14 +1380,14 @@ mod tests {
                 .map(|r| ctl.request_batch([r]).unwrap().pop().unwrap())
                 .collect()
         };
-        let warm_decisions = submit(&mut warm);
+        let sharded_decisions = submit(&mut sharded);
         let cold_decisions = submit(&mut cold);
-        assert_eq!(warm_decisions.len(), 4);
+        assert_eq!(sharded_decisions.len(), 4);
         let mut saw_scoped_saving = false;
-        for (w, c) in warm_decisions.iter().zip(&cold_decisions) {
+        for (w, c) in sharded_decisions.iter().zip(&cold_decisions) {
             assert_eq!(w.is_accepted(), c.is_accepted());
             assert_eq!(w.id(), c.id());
-            // Warm reports cover the candidate's shard; every bound they
+            // Sharded reports cover the candidate's shard; every bound they
             // carry is byte-identical to the cold/global report's entry
             // for the same flow.
             assert!(!w.report().flows.is_empty());
@@ -1640,13 +1398,13 @@ mod tests {
             assert_eq!(w.report().failure, c.report().failure);
             saw_scoped_saving |= w.cost().flow_analyses < c.cost().flow_analyses;
         }
-        assert_eq!(warm.accepted(), cold.accepted());
+        assert_eq!(sharded.accepted(), cold.accepted());
         // The last candidate's route is link-disjoint from everything
-        // admitted, so its warm trial analysed a fresh singleton shard
+        // admitted, so its sharded trial analysed a fresh singleton shard
         // while the cold trial re-ran the world.
-        assert!(warm_decisions[3].report().flows.len() < cold_decisions[3].report().flows.len());
-        assert_eq!(warm_decisions[3].cost().shard_flows, 1);
-        // The warm engine did strictly less per-flow work on at least one
+        assert!(sharded_decisions[3].report().flows.len() < cold_decisions[3].report().flows.len());
+        assert_eq!(sharded_decisions[3].cost().shard_flows, 1);
+        // The sharded engine did strictly less per-flow work on at least one
         // decision of this scenario.
         assert!(saw_scoped_saving);
     }
@@ -1722,21 +1480,24 @@ mod tests {
             AdmissionController::with_accepted(t.clone(), preloaded, AnalysisConfig::paper())
                 .unwrap();
         assert_eq!(ctl.n_accepted(), 2);
-        assert_eq!(ctl.mode(), AdmissionMode::Warm);
+        assert_eq!(ctl.mode(), AdmissionMode::Sharded);
         assert_eq!(stats.shards, ctl.partition().n_shards());
         assert!(stats.largest_shard >= 2);
         assert!(stats.rounds >= 1 && stats.flow_analyses >= 2);
+        // The preload seeded the report cache with the cold bounds of
+        // every preloaded flow.
+        assert_eq!(cache_snapshot(&ctl), keyed(&ctl.reanalyze().unwrap()));
 
         // The preloaded controller decides the next candidate exactly like
-        // a controller that admitted the same flows one by one — warm bit,
-        // bounds and trace included.
+        // a controller that admitted the same flows one by one — cost,
+        // bounds and trace included — and leaves the same report cache.
         let mut seq = AdmissionController::new(t.clone(), AnalysisConfig::paper());
         assert!(one(&mut seq, voice(20.0), voice_route, Priority(7)).is_accepted());
         assert!(one(&mut seq, video, video_route.clone(), Priority(5)).is_accepted());
         let d_pre = one(&mut ctl, voice(25.0), video_route.clone(), Priority(7));
         let d_seq = one(&mut seq, voice(25.0), video_route.clone(), Priority(7));
         assert_eq!(d_pre, d_seq);
-        assert!(d_pre.cost().warm);
+        assert_eq!(cache_snapshot(&ctl), cache_snapshot(&seq));
 
         // A preloaded set that is not schedulable is refused up front,
         // naming the failing shard.
@@ -1868,14 +1629,21 @@ mod tests {
         assert!(d.is_accepted());
 
         // Failing the s2-h4 cable touches neither the flow's route nodes
-        // nor their interface counts: rebase succeeds and keeps the cache.
+        // nor their interface counts: rebase succeeds and keeps the cache,
+        // which still equals a cold analysis on the new topology.
         let mut faulty = t.clone();
         faulty.fail_link(s2, h4).unwrap();
+        let cached = cache_snapshot(&ctl);
         ctl.rebase(faulty.survivor().into_topology()).unwrap();
         assert_eq!(ctl.topology().n_links(), t.n_links() - 2);
+        assert_eq!(cache_snapshot(&ctl).len(), cached.len());
+        assert_eq!(
+            cache_snapshot(&ctl),
+            keyed(&ctl.reanalyze().unwrap()),
+            "cache must survive a clean rebase"
+        );
         let d2 = one(&mut ctl, voice(25.0), route.clone(), Priority(6));
         assert!(d2.is_accepted());
-        assert!(d2.cost().warm, "cache must survive a clean rebase");
 
         // Failing s1-s2 changes s1's interface count; s1 is on the
         // retained route, so the rebase is refused and nothing changes.
@@ -1895,7 +1663,7 @@ mod tests {
     #[test]
     fn release_and_readmission_restore_identical_bounds() {
         let (t, net) = paper_figure1();
-        for mode in [AdmissionMode::Cold, AdmissionMode::Warm] {
+        for mode in [AdmissionMode::Cold, AdmissionMode::Sharded] {
             let mut ctl =
                 AdmissionController::new(t.clone(), AnalysisConfig::paper()).with_mode(mode);
             let voice_route = shortest_path(&t, net.hosts[1], net.hosts[3]).unwrap();
@@ -1965,15 +1733,16 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: AdmissionDecision = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
-        assert_eq!(AdmissionMode::default(), AdmissionMode::Warm);
+        assert_eq!(AdmissionMode::default(), AdmissionMode::Sharded);
         assert_eq!(AdmissionMode::Cold.to_string(), "cold");
-        assert_eq!(AdmissionMode::Warm.to_string(), "warm");
+        assert_eq!(AdmissionMode::Sharded.to_string(), "sharded");
     }
 
     /// Three flows chasing each other around a 3-switch ring, host to
     /// host: A `S0→S1→S2`, B `S1→S2→S0`, C `S2→S0→S1`.  Their jitters form
     /// the dependency cycle (A,L12)→(B,I2)→(B,L20)→(C,I0)→(C,L01)→(A,I1)
-    /// →(A,L12), so warm starts are unsound for the full set.
+    /// →(A,L12): the full set may have fixed points above the least one,
+    /// which is the only one a decision may rest on.
     fn chasing_ring() -> (Topology, [AdmissionRequest; 3]) {
         let link = LinkProfile::ethernet_100m();
         let mut t = Topology::new();
@@ -2005,34 +1774,21 @@ mod tests {
         (t, requests)
     }
 
+    /// Every trial is a cold solve, so closing the cycle needs no special
+    /// path: the decision must equal the reference analysis.
     #[test]
     fn cyclic_dependency_graph_falls_back_to_cold_analysis() {
         let (t, [a, b, c]) = chasing_ring();
-        let mut set = FlowSet::new();
-        for request in [&a, &b, &c] {
-            set.add(
-                request.flow.clone(),
-                request.route.clone(),
-                request.priority,
-            );
-        }
-        let ids: Vec<FlowId> = set.ids().collect();
-        assert_eq!(acyclic_affected_flows(&set, ids[2]), None);
-
         for threads in [1usize, 4] {
             let config = AnalysisConfig::paper().with_threads(threads);
             let mut ctl = AdmissionController::new(t.clone(), config);
             assert!(ctl.request_batch([a.clone()]).unwrap()[0].is_accepted());
-            // A and B alone are acyclic, so B is verified warm; C closes
-            // the cycle and must run cold.
             let second = ctl.request_batch([b.clone()]).unwrap().pop().unwrap();
-            assert!(
-                second.is_accepted() && second.cost().warm,
-                "threads {threads}"
-            );
+            assert!(second.is_accepted(), "threads {threads}");
+            // C closes the cycle; its trial solves the whole ring cold.
             let decision = ctl.request_batch([c.clone()]).unwrap().pop().unwrap();
             assert!(decision.is_accepted(), "threads {threads}");
-            assert!(!decision.cost().warm, "threads {threads}");
+            assert_eq!(decision.cost().shard_flows, 3, "threads {threads}");
             let reference =
                 crate::reference::analyze_reference(&t, ctl.accepted(), &config).unwrap();
             assert_eq!(decision.report(), &reference, "threads {threads}");

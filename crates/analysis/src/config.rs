@@ -97,8 +97,8 @@ impl AnalysisConfig {
     }
 
     /// Override the outer (holistic jitter) iteration budget (`0` is
-    /// treated as 1).  Warm-started admission trials inherit the same
-    /// budget as cold runs; tests use small budgets to exercise the
+    /// treated as 1).  Admission trials inherit the same budget as
+    /// analysis runs; tests use small budgets to exercise the
     /// non-convergence paths.
     pub fn with_max_holistic_iterations(mut self, iterations: usize) -> Self {
         self.max_holistic_iterations = iterations.max(1);

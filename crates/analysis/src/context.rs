@@ -72,9 +72,7 @@ impl JitterMap {
     }
 
     /// Set one flow's initial entries (its source jitter on its first
-    /// link), replacing any stored entry at that resource.  This is how a
-    /// warm-started admission trial seeds the candidate without building
-    /// the whole initial map of the trial set.
+    /// link), replacing any stored entry at that resource.
     pub fn set_initial(&mut self, binding: &gmf_net::FlowBinding) {
         let first_hop = binding
             .route
@@ -217,10 +215,9 @@ impl JitterMap {
     }
 
     /// Drop every entry of `flow` (a departure: the flow no longer exists,
-    /// so its jitters must not seed future warm starts).  A `BTreeMap`
-    /// range scan — `(flow, ·)` keys are contiguous, so the cost is the
-    /// flow's own entry count, not the map size (the admission plane calls
-    /// this per touched flow against a network-wide cache).
+    /// so its jitters must not seed a later run).  A `BTreeMap` range scan
+    /// — `(flow, ·)` keys are contiguous, so the cost is the flow's own
+    /// entry count, not the map size.
     pub fn remove_flow(&mut self, flow: FlowId) {
         let lo = (
             flow,
@@ -240,37 +237,6 @@ impl JitterMap {
             self.values.range(lo..hi).map(|(&key, _)| key).collect();
         for key in keys {
             self.values.remove(&key);
-        }
-    }
-
-    /// Insert a whole per-(flow, resource) frame vector, replacing any
-    /// stored entry.  This is the dense engine's boundary exit
-    /// (`DenseJitters::to_keyed`).
-    pub(crate) fn insert_raw(&mut self, flow: FlowId, resource: ResourceId, values: Vec<Time>) {
-        self.values.insert((flow, resource), values);
-    }
-
-    /// Copy every stored entry of `flow` into `target` (a `BTreeMap` range
-    /// scan — `(flow, ·)` keys are contiguous).  The admission plane uses
-    /// this to carve one shard's jitters out of the global warm cache and
-    /// to fold a committed trial's jitters back in.
-    pub(crate) fn copy_flow_into(&self, flow: FlowId, target: &mut JitterMap) {
-        let lo = (
-            flow,
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        let hi = (
-            FlowId(flow.0 + 1),
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        for (&key, values) in self.values.range(lo..hi) {
-            target.values.insert(key, values.clone());
         }
     }
 }

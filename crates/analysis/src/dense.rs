@@ -25,8 +25,7 @@
 //!
 //! The plan is immutable for the lifetime of its
 //! [`crate::context::AnalysisContext`]; the engine converts the keyed seed
-//! to dense form once per run ([`DenseJitters::from_keyed`]) and converts
-//! the converged iterate back once at the end ([`DenseJitters::to_keyed`]).
+//! to dense form once per run ([`DenseJitters::from_keyed`]).
 //! Every value it stores or computes is obtained by the same arithmetic, in
 //! the same order, as the keyed stage implementations, so bounds are
 //! byte-identical (property-tested against the keyed reference engine in
@@ -450,8 +449,7 @@ impl DensePlan {
 /// once with its final value (the single benign exception — the pipeline
 /// re-recording a flow's first-link source jitter over the initial map's
 /// identical value — is exact re-assignment), so the running max never has
-/// to handle a lowered slot.  [`DenseJitters::copy_pair_from`] recomputes
-/// its pair's max from the slice and is safe for arbitrary overwrites.
+/// to handle a lowered slot.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DenseJitters {
     values: Vec<Time>,
@@ -514,20 +512,6 @@ impl DenseJitters {
         map
     }
 
-    /// Convert back to the keyed boundary form (seed caching, public API).
-    /// Every pair is emitted, including all-zero ones — `JitterMap` treats
-    /// missing and zero entries identically, so downstream reads match.
-    pub fn to_keyed(&self, plan: &DensePlan) -> JitterMap {
-        let mut keyed = JitterMap::default();
-        for flow_plan in &plan.flows {
-            for stage in &flow_plan.stages {
-                let values = self.values[plan.range(stage.pair)].to_vec();
-                keyed.insert_raw(flow_plan.id, stage.resource, values);
-            }
-        }
-        keyed
-    }
-
     /// The jitter of `frame` at `pair` (the engine reads whole slices via
     /// [`Self::slots`]; per-slot reads are a test convenience).
     #[cfg(test)]
@@ -559,17 +543,6 @@ impl DenseJitters {
         } else {
             self.maxes[ux(pair)]
         }
-    }
-
-    /// Copy one pair's slice (and recompute its max) from `other`.  Used to
-    /// carry frozen flows' jitters through scoped rounds.
-    pub fn copy_pair_from(&mut self, plan: &DensePlan, other: &DenseJitters, pair: u32) {
-        let range = plan.range(pair);
-        self.values[range.clone()].copy_from_slice(&other.values[range.clone()]);
-        self.maxes[ux(pair)] = self.values[range]
-            .iter()
-            .copied()
-            .fold(Time::ZERO, Time::max);
     }
 
     /// Componentwise approximate equality (the holistic convergence test).
@@ -702,10 +675,9 @@ mod tests {
                 );
             }
         }
-        // Keyed → dense → keyed is read-equivalent (zeros become explicit).
-        let roundtrip = DenseJitters::from_keyed(plan, &fs, &keyed);
-        assert_eq!(roundtrip, dense);
-        assert!(roundtrip.to_keyed(plan).approx_eq(&keyed));
+        // Converting the keyed map yields the same arena.
+        let converted = DenseJitters::from_keyed(plan, &fs, &keyed);
+        assert_eq!(converted, dense);
     }
 
     #[test]
@@ -726,11 +698,6 @@ mod tests {
         assert!(a.pairs_equal(plan, &b, &others));
         assert!(a.max_abs_diff(&b) > Time::ZERO);
         assert!(!a.approx_eq(&b));
-        // Copying the pair back restores exact equality.
-        let mut c = b.clone();
-        c.copy_pair_from(plan, &a, pair);
-        assert!(a.pairs_equal(plan, &c, &all));
-        assert_eq!(c.max_jitter(pair), a.max_jitter(pair));
         assert_eq!(a.max_jitter(NO_PAIR), Time::ZERO);
     }
 }

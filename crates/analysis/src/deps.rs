@@ -2,15 +2,16 @@
 //! graph's weakly-connected components as first-class *shards*.
 //!
 //! The holistic fixed point couples the jitters of two flows only through
-//! shared resources: every dependency edge `(B, r) → (A, r')` built by the
-//! engine requires `B` and `A` to share `r`'s underlying directed link (or
-//! `B = A`; see `fixed_point::dependency_edges`).  Consequently the weak
-//! components of the per-resource dependency graph, projected onto flows,
-//! are exactly the connected components of the *"flows share a directed
-//! link"* graph — a flow-level union-find over the
-//! [`gmf_net::FlowSet::link_index`] suffices, with no per-resource nodes
-//! at all.  That is what [`gmf_net::FlowComponents`] maintains and what
-//! this module names:
+//! shared resources: the jitter of flow `A` at resource `r'` (the
+//! successor of `r` on its route) reads the jitter at `r` of `A` itself and
+//! of every flow `B` sharing `r`'s underlying directed link — so every
+//! dependency edge `(B, r) → (A, r')` requires `B = A` or a shared
+//! directed link.  Consequently the weak components of the per-resource
+//! dependency graph, projected onto flows, are exactly the connected
+//! components of the *"flows share a directed link"* graph — a flow-level
+//! union-find over the [`gmf_net::FlowSet::link_index`] suffices, with no
+//! per-resource nodes at all.  That is what [`gmf_net::FlowComponents`]
+//! maintains and what this module names:
 //!
 //! * a **shard** is one weak component, identified by its smallest member
 //!   flow id ([`ShardId`]) — stable across arrivals and departures that
@@ -31,7 +32,6 @@ use crate::context::ResourceId;
 use gmf_model::FlowId;
 use gmf_net::{FlowBinding, FlowComponents, FlowSet, Route};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The stable name of a shard: the smallest [`FlowId`] among its members.
@@ -152,19 +152,6 @@ impl DependencyGraph {
     }
 }
 
-/// The flows whose bounds can change when `seed` joins or leaves `flows` —
-/// the re-verification scope of one incremental admission decision (the
-/// closure of `seed`'s resources under the jitter-dependency edges,
-/// projected onto flows).
-///
-/// Always a subset of `seed`'s shard; usually a *strict* subset, because
-/// dependency edges are directed while shards are weak components.
-/// Returns `None` when a route is structurally broken (callers fall back
-/// to re-verifying everything).
-pub fn affected_flows(flows: &FlowSet, seed: FlowId) -> Option<BTreeSet<FlowId>> {
-    crate::fixed_point::affected_flows(flows, &[seed])
-}
-
 /// A node of the jitter-dependency graph, re-exported for documentation
 /// and diagnostics: one flow's jitter at one resource of its route.
 pub type DependencyNode = (FlowId, ResourceId);
@@ -222,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_id_display_and_affected_flows_stay_in_shard() {
+    fn shard_id_display_and_link_disjoint_flows_stay_apart() {
         assert_eq!(ShardId(FlowId(7)).to_string(), "shard(7)");
 
         let (t, _, hosts) = star(4, LinkProfile::ethernet_100m(), SwitchConfig::paper());
@@ -243,18 +230,12 @@ mod tests {
             Priority(3),
         );
         let g = DependencyGraph::new(&fs);
-        // a and b share (h0, sw); c is coupled to b only via b's *shard*
-        // membership, not via any shared link — they are disjoint.
+        // a and b share (h0, sw); c shares no directed link with either
+        // (opposite link directions never interfere), so it is a shard of
+        // its own.
         assert_eq!(g.shard_of(a), g.shard_of(b));
         assert_ne!(g.shard_of(a), g.shard_of(c));
-        let affected = affected_flows(&fs, a).unwrap();
-        let shard: BTreeSet<FlowId> = g
-            .shard_flows(g.shard_of(a).unwrap())
-            .unwrap()
-            .iter()
-            .copied()
-            .collect();
-        assert!(affected.is_subset(&shard));
-        assert!(affected.contains(&a));
+        assert_eq!(g.shard_flows(g.shard_of(a).unwrap()).unwrap(), &[a, b]);
+        assert_eq!(g.shard_flows(ShardId(c)).unwrap(), &[c]);
     }
 }

@@ -1,6 +1,5 @@
 //! The holistic fixed-point engine: parallel Jacobi rounds of the jitter
-//! iteration, with exact-equality round skipping, warm starts and
-//! dependency-scoped re-verification.
+//! iteration, with exact-equality round skipping.
 //!
 //! The holistic analysis ([`crate::holistic`]) resolves the circular
 //! dependency between response times and generalized jitters by iterating
@@ -37,29 +36,17 @@
 //! invisible; only the `flow_analyses` cost counter shrinks, and it never
 //! exceeds `rounds × flows`.
 //!
-//! **Warm starts and uniqueness.**  [`iterate_from`] seeds the iteration
-//! with an arbitrary [`JitterMap`] instead of the paper's initial map.
-//! Each jitter node depends only on the nodes upstream of it in the jitter
-//! dependency graph, and source jitters are constants.  When that graph is
-//! acyclic, a node of depth `d` therefore holds its final value after `d`
-//! rounds from *any* seed: `G^{depth+1}` is a constant map, the holistic
-//! equations have a unique fixed point, and a seed taken from the converged
-//! map of a closely related flow set (the previous admission decision)
-//! lands on byte-identical bounds in far fewer rounds.  When the graph has
-//! a cycle (mutually chasing flows on a ring), larger self-consistent
-//! solutions can exist above `x*` and a seed above it could latch onto
-//! one, so the admission controller warm-starts only acyclic sets
-//! ([`acyclic_affected_flows`]) and restarts cold otherwise.  Every
-//! workload in the paper (converging stars, unidirectional lines, the
-//! Figure 1 network) is acyclic: opposite link directions are distinct
-//! resources and never interfere.
-//!
-//! **Scoped re-verification.**  [`affected_flows`] computes which flows a
-//! candidate can influence at all — everything unreachable from it in the
-//! dependency graph keeps its cached converged [`FlowReport`] verbatim and
-//! is never re-analysed ([`Scope`]).
-//! [`crate::admission::AdmissionController`] combines warm starts and
-//! scopes into its incremental admission engine.
+//! **Seeds.**  [`iterate_from`] starts the iteration from an arbitrary
+//! [`JitterMap`] instead of the paper's initial map.  Each jitter node
+//! depends only on the nodes upstream of it in the jitter dependency
+//! graph, and source jitters are constants.  When that graph is acyclic,
+//! a node of depth `d` therefore holds its final value after `d` rounds
+//! from *any* seed: `G^{depth+1}` is a constant map and the holistic
+//! equations have a unique fixed point.  When the graph has a cycle
+//! (mutually chasing flows on a ring), larger self-consistent solutions
+//! can exist above `x*` and a seed above it could latch onto one.  Every
+//! analysis and admission path of this crate therefore starts from the
+//! paper's initial map ([`iterate`]).
 
 use crate::config::AnalysisConfig;
 use crate::context::{AnalysisContext, JitterMap};
@@ -109,226 +96,9 @@ impl ConvergenceTrace {
     }
 }
 
-/// A node of the jitter dependency graph: the jitter of one flow at one
-/// resource of its route.
-type DepNode = (gmf_model::FlowId, crate::context::ResourceId);
-
-/// The Figure 6 pipeline walk of one flow: its resources in route order,
-/// each paired with the underlying directed link whose flow set interferes
-/// at that resource.  `None` if the route is structurally broken (a
-/// condition the analysis itself reports as an error).
-fn flow_stages(
-    binding: &gmf_net::FlowBinding,
-) -> Option<
-    Vec<(
-        crate::context::ResourceId,
-        (gmf_net::NodeId, gmf_net::NodeId),
-    )>,
-> {
-    use crate::context::ResourceId;
-    let route = &binding.route;
-    let source = route.source();
-    let first_succ = route.successor(source).ok()?;
-    let mut stages = vec![(
-        ResourceId::Link {
-            from: source,
-            to: first_succ,
-        },
-        (source, first_succ),
-    )];
-    for &switch in route.switches() {
-        let succ = route.successor(switch).ok()?;
-        let prec = route.predecessor(switch).ok()?;
-        stages.push((ResourceId::SwitchIngress { node: switch }, (prec, switch)));
-        stages.push((
-            ResourceId::Link {
-                from: switch,
-                to: succ,
-            },
-            (switch, succ),
-        ));
-    }
-    Some(stages)
-}
-
-/// The edges of the jitter dependency graph of `flows`.
-///
-/// Nodes are `(flow, resource)` pairs.  The jitter a flow accumulates at
-/// resource `r_{i+1}` of its route is its jitter at `r_i` plus its response
-/// at `r_i`, and that response reads the jitter of every interfering flow
-/// at `r_i` — so there is an edge `(A, r_i) → (A, r_{i+1})` and an edge
-/// `(B, r_i) → (A, r_{i+1})` for every `B` sharing `r_i`'s underlying link
-/// with `A`.  `None` if any route is structurally broken.
-fn dependency_edges(
-    flows: &gmf_net::FlowSet,
-) -> Option<std::collections::BTreeMap<DepNode, Vec<DepNode>>> {
-    let link_index = flows.link_index();
-    let mut edges: std::collections::BTreeMap<DepNode, Vec<DepNode>> =
-        std::collections::BTreeMap::new();
-    for binding in flows.bindings() {
-        let stages = flow_stages(binding)?;
-        for window in stages.windows(2) {
-            let (resource, (from, to)) = window[0];
-            let (next_resource, _) = window[1];
-            let target = (binding.id, next_resource);
-            edges
-                .entry((binding.id, resource))
-                .or_default()
-                .push(target);
-            for &other in link_index.flows_on_link(from, to) {
-                if other != binding.id {
-                    edges.entry((other, resource)).or_default().push(target);
-                }
-            }
-        }
-    }
-    Some(edges)
-}
-
-/// Iterative three-colour DFS cycle check over a prepared edge map.
-fn edges_have_cycle(edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>) -> bool {
-    use std::collections::BTreeMap;
-    type Node = DepNode;
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        InProgress,
-        Done,
-    }
-    let mut colour: BTreeMap<Node, Colour> = BTreeMap::new();
-    let nodes: Vec<Node> = edges.keys().copied().collect();
-    for start in nodes {
-        if colour.contains_key(&start) {
-            continue;
-        }
-        // Stack of (node, next child index).
-        let mut stack: Vec<(Node, usize)> = vec![(start, 0)];
-        colour.insert(start, Colour::InProgress);
-        while let Some(&mut (node, ref mut child)) = stack.last_mut() {
-            let empty = Vec::new();
-            let targets = edges.get(&node).unwrap_or(&empty);
-            if *child < targets.len() {
-                let next = targets[*child];
-                *child += 1;
-                match colour.get(&next) {
-                    Some(Colour::InProgress) => return true,
-                    Some(Colour::Done) => {}
-                    None => {
-                        colour.insert(next, Colour::InProgress);
-                        stack.push((next, 0));
-                    }
-                }
-            } else {
-                colour.insert(node, Colour::Done);
-                stack.pop();
-            }
-        }
-    }
-    false
-}
-
-/// The flows whose analysis can change when `seed` is added to (or removed
-/// from) `flows` — the scope of re-verification for an incremental
-/// admission decision.
-///
-/// A flow `F` is *affected* iff the response bound of `F` at some resource
-/// `r` of its route can change, which happens exactly when a flow sharing
-/// `r`'s underlying interference link either is `seed` itself (its demand
-/// appears or disappears from the interference sum) or has a changed
-/// generalized jitter at `r`.  Changed jitters are the closure of `seed`'s
-/// own nodes under the dependency edges: `jitter(A, r_{i+1})` is a function
-/// of the jitters at `r_i` of every flow interfering with `A` there.
-///
-/// Flows *not* in the returned set keep byte-identical bounds: every input
-/// of every one of their per-resource analyses is untouched by `seed`, so a
-/// cached converged [`crate::report::FlowReport`] stays valid verbatim.
-///
-/// Several seeds at once yield the union of their single-seed sets (the
-/// jitter closure distributes over the union of the seeds' nodes), from
-/// one dependency-graph construction.
-///
-/// Returns `None` when a route is structurally broken (the caller falls
-/// back to re-verifying everything).
-pub(crate) fn affected_flows(
-    flows: &gmf_net::FlowSet,
-    seeds: &[gmf_model::FlowId],
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    let edges = dependency_edges(flows)?;
-    affected_flows_in(flows, seeds, &edges)
-}
-
-/// [`affected_flows`] + acyclicity in one dependency-graph construction —
-/// the per-request combination the warm admission path needs.  `None` when
-/// the graph is cyclic (warm starts are unsound there) or a route is
-/// structurally broken.
-pub(crate) fn acyclic_affected_flows(
-    flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    let edges = dependency_edges(flows)?;
-    if edges_have_cycle(&edges) {
-        return None;
-    }
-    affected_flows_in(flows, &[seed], &edges)
-}
-
-/// The [`affected_flows`] closure over a prepared edge map.
-fn affected_flows_in(
-    flows: &gmf_net::FlowSet,
-    seeds: &[gmf_model::FlowId],
-    edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>,
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    let link_index = flows.link_index();
-    let stages: BTreeMap<gmf_model::FlowId, _> = flows
-        .bindings()
-        .iter()
-        .map(|b| Some((b.id, flow_stages(b)?)))
-        .collect::<Option<_>>()?;
-
-    // Closure of the seed flows' own nodes under the dependency edges:
-    // every (flow, resource) whose jitter value can differ between the
-    // with-seed and without-seed fixed points.
-    let mut changed: BTreeSet<DepNode> = seeds
-        .iter()
-        .flat_map(|&seed| {
-            stages[&seed]
-                .iter()
-                .map(move |&(resource, _)| (seed, resource))
-        })
-        .collect();
-    let mut worklist: Vec<DepNode> = changed.iter().copied().collect();
-    while let Some(node) = worklist.pop() {
-        for &next in edges.get(&node).into_iter().flatten() {
-            if changed.insert(next) {
-                worklist.push(next);
-            }
-        }
-    }
-
-    let seeds: BTreeSet<gmf_model::FlowId> = seeds.iter().copied().collect();
-    let mut affected = seeds.clone();
-    for binding in flows.bindings() {
-        if affected.contains(&binding.id) {
-            continue;
-        }
-        let touched = stages[&binding.id].iter().any(|&(resource, (from, to))| {
-            link_index
-                .flows_on_link(from, to)
-                .iter()
-                .any(|&other| seeds.contains(&other) || changed.contains(&(other, resource)))
-        });
-        if touched {
-            affected.insert(binding.id);
-        }
-    }
-    Some(affected)
-}
-
 /// Everything one `G` evaluation produces.  Reports are `Arc`-shared:
-/// frozen and round-skipped flows hand the same allocation to every round
-/// instead of deep-copying `R × F` report clones across the run.
+/// round-skipped flows hand the same allocation to every round instead of
+/// deep-copying `R × F` report clones across the run.
 enum RoundOutcome {
     /// Every flow analysed: the per-flow reports and the next jitter map.
     Evaluated {
@@ -344,34 +114,13 @@ enum RoundOutcome {
 }
 
 /// Turn the engine's shared reports into the owned vector an
-/// [`AnalysisReport`] carries — one unwrap (or clone, for reports still
-/// shared with a caller's cache) per flow at the end of the run.
+/// [`AnalysisReport`] carries — one unwrap per flow at the end of the run
+/// (a clone only if a report is still shared).
 fn unwrap_reports(reports: Vec<Arc<FlowReport>>) -> Vec<FlowReport> {
     reports
         .into_iter()
         .map(|report| Arc::try_unwrap(report).unwrap_or_else(|shared| (*shared).clone()))
         .collect()
-}
-
-/// A dependency-derived re-verification scope for an incremental
-/// (warm-started) run: only `active` flows are re-analysed each round;
-/// every other flow's converged [`FlowReport`] is carried verbatim and its
-/// jitter entries are copied through from the current iterate.
-///
-/// Correctness rests on [`affected_flows`]: a flow outside `active` has no
-/// analysis input that can differ from the cached converged run, so both
-/// its report and its jitters are already at their (unique, acyclic-case)
-/// fixed-point values.  Scoping therefore implies an *acyclic* dependency
-/// graph — callers must have checked it (see [`acyclic_affected_flows`]).
-pub(crate) struct Scope<'s> {
-    /// Flows to re-analyse every round (the candidate plus everything
-    /// reachable from it in the dependency graph, plus any flow whose
-    /// cached report was invalidated by an earlier departure).
-    pub active: &'s std::collections::BTreeSet<gmf_model::FlowId>,
-    /// Converged reports of the inactive flows, shared into every round's
-    /// report vector.  Must cover exactly the flows of the context that
-    /// are not in `active`.
-    pub frozen: &'s std::collections::BTreeMap<gmf_model::FlowId, Arc<FlowReport>>,
 }
 
 /// What the engine remembers about one flow's last analysis: its report
@@ -385,24 +134,15 @@ struct FlowCache {
     assignments: Vec<Vec<Time>>,
 }
 
-/// How [`evaluate_round`] treats each flow of the context.
-#[derive(Clone, Copy, PartialEq)]
-enum FlowRole {
-    /// Outside the scope: frozen report, jitters copied through.
-    Inactive,
-    /// In scope, but its input slots are exactly unchanged since its last
-    /// analysis: the cached report and assignments are reused without
-    /// re-analysing (Jacobi memoization — correct by construction).
-    Skipped,
-    /// In scope with changed inputs (or no cached analysis): re-analysed.
-    Dirty,
-}
-
 /// Evaluate `G` at `jitters`: analyse every *dirty* flow of the context's
 /// flow set against the given arena, in parallel over `threads` workers,
 /// and fold the assignments (fresh or cached) into the next round's arena.
 /// Returns the outcome and the number of per-flow analyses actually
 /// performed.
+///
+/// A flow is *skipped* — its cached report and assignments reused without
+/// re-analysing (Jacobi memoization) — when its input slots are exactly
+/// unchanged since its last analysis; every other flow is dirty.
 ///
 /// Flows are analysed in flow-index order semantics: results are collected
 /// in that order, the next map is folded in that order, and the first
@@ -417,32 +157,22 @@ fn evaluate_round(
     ctx: &AnalysisContext<'_>,
     jitters: &DenseJitters,
     config: &AnalysisConfig,
-    scope: Option<&Scope<'_>>,
     cache: &mut [Option<FlowCache>],
     last_input: Option<&DenseJitters>,
 ) -> Result<(RoundOutcome, usize), AnalysisError> {
     let plan = ctx.plan();
     let bindings = ctx.flows().bindings();
 
-    let roles: Vec<FlowRole> = bindings
-        .iter()
-        .enumerate()
-        .map(|(index, binding)| {
-            if !scope.is_none_or(|s| s.active.contains(&binding.id)) {
-                FlowRole::Inactive
-            } else if cache[index].is_some()
+    let skipped: Vec<bool> = (0..bindings.len())
+        .map(|index| {
+            cache[index].is_some()
                 && last_input.is_some_and(|previous| {
                     jitters.pairs_equal(plan, previous, &plan.flows[index].input_pairs)
                 })
-            {
-                FlowRole::Skipped
-            } else {
-                FlowRole::Dirty
-            }
         })
         .collect();
     let dirty: Vec<usize> = (0..bindings.len())
-        .filter(|&index| roles[index] == FlowRole::Dirty)
+        .filter(|&index| !skipped[index])
         .collect();
     let threads = Threads::new(config.threads);
 
@@ -472,98 +202,68 @@ fn evaluate_round(
     let mut analyzed = 0usize;
     let mut reports: Vec<Arc<FlowReport>> = Vec::with_capacity(bindings.len());
     for (index, binding) in bindings.iter().enumerate() {
-        match roles[index] {
-            FlowRole::Inactive => {
-                let frozen = scope
-                    // tidy-allow: unwrap invariant: inactive flows only exist under a scope
-                    .expect("inactive flows only exist under a scope")
-                    .frozen
-                    .get(&binding.id)
-                    // tidy-allow: unwrap invariant: scoped rounds carry a frozen report for every inactive flow
-                    .expect("scoped rounds carry a frozen report for every inactive flow");
-                reports.push(Arc::clone(frozen));
+        if skipped[index] {
+            let cached = cache[index]
+                .as_ref()
+                // tidy-allow: unwrap invariant: skipped flows have a cached analysis
+                .expect("skipped flows have a cached analysis");
+            reports.push(Arc::clone(&cached.report));
+            continue;
+        }
+        // tidy-allow: unwrap invariant: one result per dirty flow
+        let result = results.next().expect("one result per dirty flow");
+        analyzed += 1;
+        match result {
+            Ok((bounds, assignments)) => {
+                let report = Arc::new(FlowReport {
+                    flow: binding.id,
+                    name: binding.flow.name().to_string(),
+                    frames: bounds,
+                });
+                reports.push(Arc::clone(&report));
+                cache[index] = Some(FlowCache {
+                    report,
+                    assignments,
+                });
             }
-            FlowRole::Skipped => {
-                let cached = cache[index]
-                    .as_ref()
-                    // tidy-allow: unwrap invariant: skipped flows have a cached analysis
-                    .expect("skipped flows have a cached analysis");
-                reports.push(Arc::clone(&cached.report));
+            Err(err) if err.is_unschedulable() => {
+                return Ok((
+                    RoundOutcome::Unschedulable {
+                        partial: reports,
+                        failure: err.to_string(),
+                    },
+                    analyzed,
+                ));
             }
-            FlowRole::Dirty => {
-                // tidy-allow: unwrap invariant: one result per dirty flow
-                let result = results.next().expect("one result per dirty flow");
-                analyzed += 1;
-                match result {
-                    Ok((bounds, assignments)) => {
-                        let report = Arc::new(FlowReport {
-                            flow: binding.id,
-                            name: binding.flow.name().to_string(),
-                            frames: bounds,
-                        });
-                        reports.push(Arc::clone(&report));
-                        cache[index] = Some(FlowCache {
-                            report,
-                            assignments,
-                        });
-                    }
-                    Err(err) if err.is_unschedulable() => {
-                        return Ok((
-                            RoundOutcome::Unschedulable {
-                                partial: reports,
-                                failure: err.to_string(),
-                            },
-                            analyzed,
-                        ));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
+            Err(err) => return Err(err),
         }
     }
     drop(results);
 
+    // Every flow (fresh or skipped) folds its assignments — a skipped
+    // flow's cached assignments are exactly what re-analysing it would
+    // have produced.
     let mut next = DenseJitters::initial(plan, ctx.flows());
-    for (index, role) in roles.iter().enumerate() {
-        let flow_plan = &plan.flows[index];
-        match role {
-            // Frozen flows' jitters are already at their fixed-point
-            // values; carry them through unchanged so the fold below only
-            // moves the active components.
-            FlowRole::Inactive => {
-                for stage in &flow_plan.stages {
-                    next.copy_pair_from(plan, jitters, stage.pair);
-                }
-            }
-            // Active flows (fresh or skipped) fold their assignments —
-            // a skipped flow's cached assignments are exactly what
-            // re-analysing it would have produced.
-            FlowRole::Skipped | FlowRole::Dirty => {
-                let cached = cache[index]
-                    .as_ref()
-                    // tidy-allow: unwrap invariant: active flows have a cached analysis after the scan
-                    .expect("active flows have a cached analysis after the scan");
-                for (frame, frame_assignments) in cached.assignments.iter().enumerate() {
-                    for (stage, &jitter) in frame_assignments.iter().enumerate() {
-                        next.set(plan, flow_plan.stages[stage].pair, frame, jitter);
-                    }
-                }
+    for (flow_plan, cached) in plan.flows.iter().zip(cache.iter()) {
+        let cached = cached
+            .as_ref()
+            // tidy-allow: unwrap invariant: every flow has a cached analysis after the scan
+            .expect("every flow has a cached analysis after the scan");
+        for (frame, frame_assignments) in cached.assignments.iter().enumerate() {
+            for (stage, &jitter) in frame_assignments.iter().enumerate() {
+                next.set(plan, flow_plan.stages[stage].pair, frame, jitter);
             }
         }
     }
     Ok((RoundOutcome::Evaluated { reports, next }, analyzed))
 }
 
-/// Everything one holistic fixed-point run produces: the report, the
-/// converged jitter map (for warm-start caching) and the run's cost.
+/// Everything one holistic fixed-point run produces: the report and the
+/// run's cost.
 #[derive(Debug, Clone)]
 pub struct FixedPointRun {
     /// The analysis report (what [`crate::holistic::analyze`] returns).
     pub report: AnalysisReport,
-    /// The converged jitter iterate `x*` — present iff the run converged.
-    /// The report's bounds are exactly the evaluation `G(x*)`, so seeding a
-    /// later warm-started run with this map reproduces them byte for byte.
-    pub jitters: Option<JitterMap>,
     /// Number of per-flow pipeline analyses performed: at most rounds ×
     /// flows analysed per round, fewer when round skipping reuses a
     /// cached analysis or a round aborts early.  This is the
@@ -581,52 +281,26 @@ pub(crate) fn iterate(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
 ) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, JitterMap::initial(ctx.flows()), None)
+    iterate_from(ctx, config, JitterMap::initial(ctx.flows()))
 }
 
-/// Run the holistic jitter iteration warm-started from `initial`.
+/// Run the holistic jitter iteration seeded with `initial`.
 ///
-/// On an *acyclic* jitter dependency graph (see the module docs) the fixed
-/// point is unique and `G^{depth+1}` is a constant map, so the run
-/// converges to byte-identical bounds from **any** initial map — a cached
-/// converged map of a closely related flow set lands in far fewer rounds
-/// than the cold start.  Two caveats the caller owns:
+/// Started from [`JitterMap::initial`] this is exactly [`iterate`].  On an
+/// *acyclic* jitter dependency graph (see the module docs) the fixed point
+/// is unique, so any seed converges to byte-identical bounds.  Two caveats
+/// the caller owns for other seeds:
 ///
 /// * on a **cyclic** instance a seed above the least fixed point can latch
-///   onto a larger self-consistent solution — warm-start only when
-///   the dependency graph is acyclic (the admission controller gates on
-///   exactly that and falls back to a cold restart otherwise);
-/// * a seed *above* the fixed point (e.g. cached jitters after a flow
-///   departure) can make an intermediate busy-period iteration exceed the
-///   horizon even though the instance is schedulable — treat a
-///   non-converged warm run as "unknown" and restart cold rather than
-///   taking its verdict.
+///   onto a larger self-consistent solution;
+/// * a seed *above* the fixed point can make an intermediate busy-period
+///   iteration exceed the horizon even though the instance is
+///   schedulable, so a non-converged run from such a seed says nothing
+///   about schedulability.
 pub fn iterate_from(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
     initial: JitterMap,
-) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, initial, None)
-}
-
-/// [`iterate_from`] restricted to a re-verification scope: only
-/// `scope.active` flows are re-analysed; the rest keep their frozen
-/// converged reports and jitters.  See [`Scope`] for the correctness
-/// argument.
-pub(crate) fn iterate_scoped(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    initial: JitterMap,
-    scope: &Scope<'_>,
-) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, initial, Some(scope))
-}
-
-fn iterate_inner(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    initial: JitterMap,
-    scope: Option<&Scope<'_>>,
 ) -> Result<FixedPointRun, AnalysisError> {
     let plan = ctx.plan();
     let mut x = DenseJitters::from_keyed(plan, ctx.flows(), &initial);
@@ -640,8 +314,7 @@ fn iterate_inner(
     let mut last_input: Option<DenseJitters> = None;
 
     for iteration in 1..=config.max_holistic_iterations {
-        let (outcome, analyzed) =
-            evaluate_round(ctx, &x, config, scope, &mut cache, last_input.as_ref())?;
+        let (outcome, analyzed) = evaluate_round(ctx, &x, config, &mut cache, last_input.as_ref())?;
         flow_analyses += analyzed;
         let (reports, gx) = match outcome {
             RoundOutcome::Evaluated { reports, next } => (reports, next),
@@ -663,7 +336,6 @@ fn iterate_inner(
                         failure: Some(failure),
                         trace,
                     },
-                    jitters: None,
                     flow_analyses,
                 });
             }
@@ -686,10 +358,6 @@ fn iterate_inner(
                     .join(", ");
                 Some(format!("deadline missed by: {miss}"))
             };
-            // The reports are exactly the evaluation `G(x)`, so `x` (not
-            // `gx`) is the map to cache: re-evaluating `G` at it
-            // reproduces them byte for byte.
-            let jitters = Some(x.to_keyed(plan));
             drop(cache);
             return Ok(FixedPointRun {
                 report: AnalysisReport {
@@ -700,7 +368,6 @@ fn iterate_inner(
                     failure,
                     trace,
                 },
-                jitters,
                 flow_analyses,
             });
         }
@@ -728,7 +395,6 @@ fn iterate_inner(
             ),
             trace,
         },
-        jitters: None,
         flow_analyses,
     })
 }

@@ -25,7 +25,7 @@
 //! * [`admission::AdmissionController`] — the admission controller built on
 //!   top of it;
 //! * [`resilience::SurvivabilityAnalysis`] — the single-failure
-//!   survivability sweep built on the warm admission plane;
+//!   survivability sweep built on the sharded admission plane;
 //! * [`baseline`] — the sporadic-collapse and utilization-only baselines
 //!   used for comparison experiments;
 //! * [`reference::analyze_reference`] — the deliberately simple keyed

@@ -5,9 +5,9 @@
 //! [`analyze_reference`] is the paper's plain sequential Picard scheme
 //! built from the boundary-level pieces that never went dense: the keyed
 //! [`JitterMap`] (tree-map probes and all) and the per-frame keyed stage
-//! walk [`crate::pipeline::analyze_flow`].  It performs no parallelism, no
-//! warm starts and no round skipping — every flow is re-analysed from the
-//! keyed map every round.
+//! walk [`crate::pipeline::analyze_flow`].  It performs no parallelism and
+//! no round skipping — every flow is re-analysed from the keyed map every
+//! round.
 //!
 //! Its value is being *obviously* faithful to the equations: the
 //! property tests in `tests/dense_engine_properties.rs` assert that the

@@ -10,8 +10,8 @@
 //! # The incremental sweep
 //!
 //! A cold answer would re-run the whole holistic analysis once per scenario.
-//! [`SurvivabilityAnalysis`] instead reuses the admission plane's warm
-//! state, per scenario:
+//! [`SurvivabilityAnalysis`] instead reuses the admission plane's shard
+//! partition and report cache, per scenario:
 //!
 //! 1. apply the fault to a scratch copy of the topology and materialise the
 //!    [`gmf_net::SurvivorView`];
@@ -21,8 +21,8 @@
 //!    failure (or the departures and re-routes it forces) can change;
 //! 3. [`AdmissionController::rebase`] the controller onto the survivor
 //!    topology — sound because every retained flow's route provably
-//!    traverses only unchanged hardware, so the warm cache stays valid
-//!    verbatim;
+//!    traverses only unchanged hardware, so the cached reports of the
+//!    retained shards stay valid verbatim;
 //! 4. re-admit the released flows in ascending id order — severed flows
 //!    over their shortest-path fallback route
 //!    ([`gmf_net::reroute_severed`]), the rest over their original route;
@@ -41,10 +41,12 @@
 //! member — so it is a union of shards of the survivor set, and shards
 //! never influence each other's bounds.  Its cold analysis is therefore
 //! the cold survivor analysis restricted to it, and every retained flow
-//! outside it keeps a cached report that step 2 left exact.  If the trial
+//! outside it keeps a cached report that step 2 left exact (a release
+//! drops the reports of the released shards only).  If the trial
 //! set is schedulable, so is the survivor set, and the bounds are the cold
 //! ones.  Otherwise the sequential fallback decides: each of its trials
-//! equals a cold analysis of the same set (warm == cold, property-tested),
+//! is a cold analysis of the candidate's shard, which equals a cold
+//! analysis of the whole trial set restricted to it (property-tested),
 //! and by monotonicity in the flow set every re-admission is accepted iff
 //! the survivor set is schedulable — so at least one is rejected exactly
 //! when the survivor set is not schedulable.
@@ -252,9 +254,10 @@ impl SurvivabilityReport {
     }
 }
 
-/// The survivability analysis of one admitted flow set: a pristine warm
-/// [`AdmissionController`] that each scenario assessment clones, mutates
-/// and discards — the sweep never pays for more than the failure's shards.
+/// The survivability analysis of one admitted flow set: a pristine
+/// preloaded [`AdmissionController`] that each scenario assessment
+/// clones, mutates and discards — the sweep never pays for more than the
+/// failure's shards.
 #[derive(Debug, Clone)]
 pub struct SurvivabilityAnalysis {
     controller: AdmissionController,
@@ -262,8 +265,8 @@ pub struct SurvivabilityAnalysis {
 
 impl SurvivabilityAnalysis {
     /// Verify `accepted` on `topology` (shard-parallel, like
-    /// [`AdmissionController::with_accepted`]) and seed the pristine warm
-    /// state every scenario starts from.
+    /// [`AdmissionController::with_accepted`]) and seed the pristine report
+    /// cache every scenario starts from.
     pub fn new(
         topology: Topology,
         accepted: FlowSet,
@@ -273,9 +276,9 @@ impl SurvivabilityAnalysis {
         Ok((SurvivabilityAnalysis { controller }, stats))
     }
 
-    /// Wrap an existing controller (it should be warm and preloaded: a
+    /// Wrap an existing controller (it should be sharded and preloaded: a
     /// cold or cache-less controller still yields correct verdicts, only
-    /// slower and without incremental margins).
+    /// slower, reading margins off one extra re-analysis).
     pub fn from_controller(controller: AdmissionController) -> Self {
         SurvivabilityAnalysis { controller }
     }
@@ -298,9 +301,9 @@ impl SurvivabilityAnalysis {
 
         // Everything the failure can influence: the full shard of every
         // flow that touches a dirty node.  Releasing whole shards keeps
-        // the remaining cache exactly valid (release_batch's invalidation
-        // union stays inside the released set), so every retained flow's
-        // cached report is still the cold truth after the rebase.
+        // the remaining cache exactly valid (release_batch drops the
+        // reports of exactly the released shards), so every retained
+        // flow's cached report is still the cold truth after the rebase.
         let touched = survivor.affected_flows(accepted);
         let mut release: BTreeSet<FlowId> = BTreeSet::new();
         for &id in &touched {
@@ -383,9 +386,9 @@ impl SurvivabilityAnalysis {
 
         // Margins and bounds, keyed back to original ids.  The cached
         // reports cover the whole survivor set here (retained flows kept
-        // theirs, re-admissions refreshed the rest); if the cache was
-        // dropped along the way (possible only without dependency
-        // information), fall back to one explicit re-analysis.
+        // theirs, re-admissions refreshed the rest); if the cache is
+        // incomplete (a cold or cache-less controller), fall back to one
+        // explicit re-analysis.
         let mut margin = None;
         let mut bounds: BTreeMap<FlowId, Vec<Time>> = BTreeMap::new();
         if survivor_schedulable {

@@ -1,5 +1,5 @@
-//! B5 — admission-control churn: cold-restart vs incremental warm-started
-//! trials on the shared churn script (arrivals and departures on the
+//! B5 — admission-control churn: global cold restarts vs per-shard cold
+//! solves on the shared churn script (arrivals and departures on the
 //! converging star).
 //!
 //! Decisions and bounds are byte-identical across the two modes (the churn
@@ -15,7 +15,10 @@ fn bench_admission_churn(c: &mut Criterion) {
     let config = churn_bench_config();
     let analysis = AnalysisConfig::paper();
     let mut group = c.benchmark_group("churn_admission");
-    for (name, mode) in [("cold", AdmissionMode::Cold), ("warm", AdmissionMode::Warm)] {
+    for (name, mode) in [
+        ("cold", AdmissionMode::Cold),
+        ("sharded", AdmissionMode::Sharded),
+    ] {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 black_box(run_churn(

@@ -215,11 +215,14 @@ fn main() {
         }
     }
 
-    // B5 — admission churn: cold restarts vs the incremental warm engine
+    // B5 — admission churn: global cold restarts vs per-shard cold solves
     // on the shared churn script (same workload as the Criterion
     // `churn_admission` axis and E11).
     let churn = churn_bench_config();
-    for (name, mode) in [("cold", AdmissionMode::Cold), ("warm", AdmissionMode::Warm)] {
+    for (name, mode) in [
+        ("cold", AdmissionMode::Cold),
+        ("sharded", AdmissionMode::Sharded),
+    ] {
         record(
             &format!("churn_admission/{name}"),
             median_ns(samples, || {
@@ -267,7 +270,6 @@ fn main() {
             ("metro/preload_flow_analyses", metro.preload.flow_analyses),
             ("metro/batch_accepted", metro.accepted()),
             ("metro/batch_rejected", metro.rejected()),
-            ("metro/warm_decisions", metro.warm_decisions()),
             ("metro/batch_rounds", metro.rounds()),
             ("metro/batch_flow_analyses", metro.flow_analyses()),
             ("metro/largest_trial", metro.largest_trial()),

@@ -1,14 +1,14 @@
-//! E11 — admission control under churn: cold restarts vs the incremental
-//! warm-started engine.
+//! E11 — admission control under churn: global cold restarts vs the
+//! sharded engine.
 //!
 //! Replays the shared churn script (arrivals and departures on the
 //! sweep's converging star) through two admission controllers that differ
 //! only in [`AdmissionMode`], and reports what every decision cost.  The
 //! two engines take byte-identical decisions and produce byte-identical
-//! bounds — the table asserts it — but the warm engine re-verifies only
-//! the flows a candidate can influence, seeded from the cached converged
-//! jitter map, so its rounds-per-decision and per-flow-analyses-per-
-//! decision are a fraction of the cold engine's.
+//! bounds — the table asserts it — but the sharded engine solves only the
+//! candidate's shard (the flows it shares links with, transitively), so
+//! its per-flow analyses per decision are a fraction of the cold
+//! engine's.
 //!
 //! Everything on stdout is deterministic (CI diffs repeated runs and
 //! `--threads 1` vs `4`); the wall-clock admissions/sec measurement goes
@@ -22,14 +22,14 @@ use std::time::Instant;
 fn main() {
     print_header(
         "E11",
-        "Admission churn: cold restart vs incremental warm start",
+        "Admission churn: global cold restart vs per-shard cold solve",
     );
     let threads = threads_flag();
     let analysis = AnalysisConfig::paper().with_threads(threads);
     let config = churn_bench_config();
 
     let mut outcomes: Vec<(ChurnOutcome, f64)> = Vec::new();
-    for mode in [AdmissionMode::Cold, AdmissionMode::Warm] {
+    for mode in [AdmissionMode::Cold, AdmissionMode::Sharded] {
         let start = Instant::now();
         let outcome = run_churn(CHURN_BENCH_SEED, &config, &analysis, mode);
         let elapsed = start.elapsed().as_secs_f64();
@@ -59,7 +59,6 @@ fn main() {
                 format!("{:.2}", o.rounds_per_decision()),
                 o.flow_analyses.to_string(),
                 format!("{:.2}", o.analyses_per_decision()),
-                o.warm_decisions.to_string(),
             ]
         })
         .collect();
@@ -75,36 +74,35 @@ fn main() {
             "rounds/dec",
             "flow analyses",
             "analyses/dec",
-            "warm dec",
         ],
         &rows,
     );
 
-    let (cold, warm) = (&outcomes[0].0, &outcomes[1].0);
+    let (cold, sharded) = (&outcomes[0].0, &outcomes[1].0);
     println!();
     println!(
         "decisions identical (accept/reject, live set, final bounds): {}",
-        cold.accepted == warm.accepted
-            && cold.rejected == warm.rejected
-            && cold.live == warm.live
-            && cold.final_worst_bound == warm.final_worst_bound
-            && cold.final_schedulable == warm.final_schedulable
+        cold.accepted == sharded.accepted
+            && cold.rejected == sharded.rejected
+            && cold.live == sharded.live
+            && cold.final_worst_bound == sharded.final_worst_bound
+            && cold.final_schedulable == sharded.final_schedulable
     );
     println!(
         "final accepted set: {} flows, worst bound {}, schedulable {}",
-        warm.live, warm.final_worst_bound, warm.final_schedulable
+        sharded.live, sharded.final_worst_bound, sharded.final_schedulable
     );
     println!(
-        "per-flow analyses per decision: cold {:.2} vs warm {:.2} ({:.1}x less work)",
+        "per-flow analyses per decision: cold {:.2} vs sharded {:.2} ({:.1}x less work)",
         cold.analyses_per_decision(),
-        warm.analyses_per_decision(),
-        cold.analyses_per_decision() / warm.analyses_per_decision().max(1e-9)
+        sharded.analyses_per_decision(),
+        cold.analyses_per_decision() / sharded.analyses_per_decision().max(1e-9)
     );
     println!();
     println!(
-        "expected shape: identical decisions; the warm engine needs a fraction of the rounds and\n\
-         per-flow analyses per decision because trials start from the cached converged jitter map\n\
-         and only re-verify flows the candidate can influence (admissions/sec on stderr)."
+        "expected shape: identical decisions; the sharded engine needs a fraction of the per-flow\n\
+         analyses per decision because each trial solves only the candidate's shard, not every\n\
+         accepted flow (admissions/sec on stderr)."
     );
 
     // Wall clock is nondeterministic, so it stays off stdout.

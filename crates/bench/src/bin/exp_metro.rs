@@ -6,9 +6,8 @@
 //! push batches of candidates through `request_batch`, then release
 //! everything the batches admitted.  The point of the table is the
 //! *locality* claim of the sharded admission plane: with 100,000+ flows
-//! live, every trial re-verifies at most one cell's worth of flows, almost
-//! every decision is served from a converged warm start, and the release
-//! phase restores the preloaded partition exactly.
+//! live, every trial is one cold solve over at most one cell's worth of
+//! flows, and the release phase restores the preloaded partition exactly.
 //!
 //! Everything on stdout is deterministic (CI diffs repeated runs and
 //! `--threads 1` vs `4`); the wall-clock decisions/sec measurements go to
@@ -66,7 +65,6 @@ fn main() {
                 (b.accepted + b.rejected).to_string(),
                 b.accepted.to_string(),
                 b.rejected.to_string(),
-                b.warm_decisions.to_string(),
                 b.rounds.to_string(),
                 b.flow_analyses.to_string(),
                 b.largest_trial.to_string(),
@@ -79,7 +77,6 @@ fn main() {
             "requests",
             "accepted",
             "rejected",
-            "warm dec",
             "rounds",
             "flow analyses",
             "largest trial",
@@ -90,11 +87,10 @@ fn main() {
     let decisions = outcome.decisions();
     println!();
     println!(
-        "decisions: {} total, {} accepted, {} rejected, {} warm",
+        "decisions: {} total, {} accepted, {} rejected",
         decisions,
         outcome.accepted(),
-        outcome.rejected(),
-        outcome.warm_decisions()
+        outcome.rejected()
     );
     println!(
         "per decision: {:.2} rounds, {:.2} flow analyses; largest trial {} flows (of {} live)",

@@ -7,8 +7,10 @@
 //! *both* assessment paths:
 //!
 //! * the incremental path (`SurvivabilityAnalysis::assess`): release the
-//!   affected shards from a warm admission controller, rebase onto the
-//!   survivor topology and re-admit the re-routed flows shard-scoped;
+//!   affected shards from a preloaded admission controller, rebase onto
+//!   the survivor topology and re-admit the re-routed flows in one cold
+//!   solve over their shards (one trial each only when they do not all
+//!   fit);
 //! * the cold oracle (`SurvivabilityAnalysis::cold_verdict`): re-analyse
 //!   the re-routed survivor set from scratch.
 //!

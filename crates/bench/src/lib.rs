@@ -292,7 +292,7 @@ pub fn long_tail_bench_scenario() -> (gmf_net::Topology, gmf_net::FlowSet) {
 /// dozen flows.
 ///
 /// A single definition keeps the three surfaces honest: a
-/// `churn_admission/cold-vs-warm` entry in `BENCH.json` always times
+/// `churn_admission/cold-vs-sharded` entry in `BENCH.json` always times
 /// exactly the script the Criterion bench and the experiment binary run.
 pub fn churn_bench_config() -> gmf_workloads::ChurnConfig {
     gmf_workloads::ChurnConfig {
@@ -344,8 +344,6 @@ pub struct MetroBatch {
     pub accepted: usize,
     /// Candidates rejected.
     pub rejected: usize,
-    /// Decisions served from a converged warm start.
-    pub warm_decisions: usize,
     /// Fixed-point rounds spent across the batch.
     pub rounds: usize,
     /// Per-flow analyses spent across the batch.
@@ -396,11 +394,6 @@ impl MetroOutcome {
     /// Total candidates rejected.
     pub fn rejected(&self) -> usize {
         self.batches.iter().map(|b| b.rejected).sum()
-    }
-
-    /// Total decisions served from a converged warm start.
-    pub fn warm_decisions(&self) -> usize {
-        self.batches.iter().map(|b| b.warm_decisions).sum()
     }
 
     /// Total fixed-point rounds across all decisions.
@@ -480,7 +473,6 @@ pub fn run_metro_admission(
         let mut batch = MetroBatch {
             accepted: 0,
             rejected: 0,
-            warm_decisions: 0,
             rounds: 0,
             flow_analyses: 0,
             largest_trial: 0,
@@ -494,7 +486,6 @@ pub fn run_metro_admission(
                 batch.rejected += 1;
             }
             let cost = decision.cost();
-            batch.warm_decisions += usize::from(cost.warm);
             batch.rounds += cost.rounds;
             batch.flow_analyses += cost.flow_analyses;
             batch.largest_trial = batch.largest_trial.max(cost.shard_flows);
@@ -541,7 +532,7 @@ pub struct SurvivabilityOutcome {
     pub label: String,
     /// Admitted flows of the workload.
     pub n_flows: usize,
-    /// Preload statistics of the pristine warm controller.
+    /// Preload statistics of the pristine preloaded controller.
     pub preload: gmf_analysis::PreloadStats,
     /// The incremental sweep's verdicts, in scenario order.
     pub report: gmf_analysis::SurvivabilityReport,

@@ -14,6 +14,16 @@ pub enum NetError {
     DuplicateLink(NodeId, NodeId),
     /// A link was declared with the same node at both ends.
     SelfLoop(NodeId),
+    /// A link was declared with a speed that is not a positive finite bit
+    /// rate, or a propagation delay that is negative or not finite.
+    InvalidLinkParameters {
+        /// Transmitting node.
+        src: NodeId,
+        /// Receiving node.
+        dst: NodeId,
+        /// Which parameter is invalid, and its value.
+        detail: String,
+    },
     /// A route is shorter than two nodes.
     RouteTooShort,
     /// A route visits the same node twice.
@@ -46,6 +56,12 @@ impl fmt::Display for NetError {
             NetError::NoSuchLink(a, b) => write!(f, "no link from {a} to {b}"),
             NetError::DuplicateLink(a, b) => write!(f, "link from {a} to {b} already exists"),
             NetError::SelfLoop(n) => write!(f, "link endpoints must differ, got {n} twice"),
+            NetError::InvalidLinkParameters { src, dst, detail } => {
+                write!(
+                    f,
+                    "link from {src} to {dst} has invalid parameters: {detail}"
+                )
+            }
             NetError::RouteTooShort => write!(f, "a route must contain at least two nodes"),
             NetError::RouteRevisitsNode(n) => write!(f, "route visits node {n} more than once"),
             NetError::RouteThroughNonSwitch(n) => {
@@ -104,6 +120,13 @@ mod tests {
         assert!(NetError::NotASwitch(NodeId(5))
             .to_string()
             .contains("not an Ethernet switch"));
+        assert!(NetError::InvalidLinkParameters {
+            src: NodeId(1),
+            dst: NodeId(2),
+            detail: "speed 0 bit/s".into(),
+        }
+        .to_string()
+        .contains("invalid parameters: speed 0 bit/s"));
     }
 
     #[test]

@@ -17,13 +17,15 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed multigraph-free network graph.
 ///
-/// Serialization only stores the nodes and links; the lookup indexes are
-/// rebuilt on deserialization.  The failure overlay ([`Topology::fail_link`],
-/// [`Topology::degrade_switch`]) is *transient* operational state and is
-/// deliberately dropped by serialization: a persisted topology always
-/// describes the installed hardware.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(from = "TopologySerde", into = "TopologySerde")]
+/// Serialization only stores the nodes and links; deserialization rebuilds
+/// the lookup indexes by replaying every link through
+/// [`Topology::add_link`], so a hand-edited file with a malformed link
+/// fails to load with that link's [`NetError`].  The failure overlay
+/// ([`Topology::fail_link`], [`Topology::degrade_switch`]) is *transient*
+/// operational state and is deliberately dropped by serialization: a
+/// persisted topology always describes the installed hardware.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[serde(into = "TopologySerde")]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -67,18 +69,18 @@ impl From<Topology> for TopologySerde {
     }
 }
 
-impl From<TopologySerde> for Topology {
-    fn from(s: TopologySerde) -> Self {
+impl<'de> serde::de::Deserialize<'de> for Topology {
+    fn deserialize<D: serde::de::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let wire = TopologySerde::deserialize(deserializer)?;
         let mut t = Topology::new();
-        for node in &s.nodes {
+        for node in &wire.nodes {
             t.add_node(node.kind, node.name.clone());
         }
-        for link in &s.links {
+        for link in &wire.links {
             t.add_link(link.src, link.dst, link.speed, link.propagation)
-                // tidy-allow: unwrap invariant: serialized topology contains a malformed link
-                .expect("serialized topology contains a malformed link");
+                .map_err(<D::Error as serde::de::Error>::custom)?;
         }
-        t
+        Ok(t)
     }
 }
 
@@ -117,6 +119,10 @@ impl Topology {
     }
 
     /// Add a directed link from `src` to `dst`.
+    ///
+    /// Fails on a self-loop, an unknown endpoint, a duplicate link, a
+    /// speed that is not a positive finite bit rate, and a propagation
+    /// delay that is negative or not finite.
     pub fn add_link(
         &mut self,
         src: NodeId,
@@ -131,6 +137,21 @@ impl Topology {
         self.check_node(dst)?;
         if self.by_endpoints.contains_key(&(src, dst)) {
             return Err(NetError::DuplicateLink(src, dst));
+        }
+        let bps = speed.as_bps();
+        if !(bps.is_finite() && bps > 0.0) {
+            return Err(NetError::InvalidLinkParameters {
+                src,
+                dst,
+                detail: format!("speed {bps} bit/s is not a positive finite rate"),
+            });
+        }
+        if !propagation.is_finite() || propagation.is_negative() {
+            return Err(NetError::InvalidLinkParameters {
+                src,
+                dst,
+                detail: format!("propagation {propagation} is negative or not finite"),
+            });
         }
         let id = LinkId(self.links.len());
         self.links.push(Link {
@@ -438,7 +459,7 @@ mod tests {
 
     #[test]
     fn rejects_self_loop_duplicate_and_unknown() {
-        let (mut t, h0, sw, _) = small();
+        let (mut t, h0, sw, h1) = small();
         assert!(matches!(
             t.add_link(h0, h0, BitRate::from_mbps(10.0), Time::ZERO),
             Err(NetError::SelfLoop(_))
@@ -451,6 +472,11 @@ mod tests {
             t.add_link(h0, NodeId(77), BitRate::from_mbps(10.0), Time::ZERO),
             Err(NetError::UnknownNode(_))
         ));
+        assert!(matches!(
+            t.add_link(h0, h1, BitRate::from_mbps(10.0), Time::from_secs(-1.0)),
+            Err(NetError::InvalidLinkParameters { .. })
+        ));
+        assert!(!t.has_link(h0, h1));
     }
 
     #[test]
@@ -481,5 +507,76 @@ mod tests {
         assert!(a.propagation.approx_eq(b.propagation));
         // The rebuilt indexes answer derived queries identically.
         assert_eq!(back.n_interfaces(sw), t.n_interfaces(sw));
+    }
+
+    /// Load `small()` after `edit` rewrote its serialized link list (each
+    /// link an object with `src`, `dst`, `speed`, `propagation`).
+    fn load_edited(edit: impl FnOnce(&mut Vec<serde_json::Value>)) -> Result<Topology, String> {
+        use serde_json::Value;
+        let (t, ..) = small();
+        let Value::Object(mut fields) = serde_json::to_value(&t).unwrap() else {
+            panic!("a topology serializes to an object");
+        };
+        let Some((_, Value::Array(links))) = fields.iter_mut().find(|(key, _)| key == "links")
+        else {
+            panic!("a topology serializes its links as an array");
+        };
+        edit(links);
+        serde_json::from_value(Value::Object(fields)).map_err(|e| e.to_string())
+    }
+
+    /// Set the numeric field `key` of the first serialized link.
+    fn set_first_link(links: &mut [serde_json::Value], key: &str, value: f64) {
+        let serde_json::Value::Object(fields) = &mut links[0] else {
+            panic!("a link serializes to an object");
+        };
+        let (_, slot) = fields
+            .iter_mut()
+            .find(|(name, _)| name == key)
+            .expect("the link has this field");
+        *slot = serde_json::Value::Number(value);
+    }
+
+    #[test]
+    fn deserialization_rejects_self_loop() {
+        let err = load_edited(|links| {
+            set_first_link(links, "src", 0.0);
+            set_first_link(links, "dst", 0.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("endpoints must differ"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_unknown_node() {
+        let err = load_edited(|links| {
+            set_first_link(links, "dst", 77.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("unknown node"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_duplicate_link() {
+        let err = load_edited(|links| links.push(links[0].clone())).unwrap_err();
+        assert!(err.contains("already exists"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_negative_propagation() {
+        let err = load_edited(|links| {
+            set_first_link(links, "propagation", -1.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("propagation"), "{err}");
+    }
+
+    #[test]
+    fn deserialization_rejects_zero_speed() {
+        let err = load_edited(|links| {
+            set_first_link(links, "speed", 0.0);
+        })
+        .unwrap_err();
+        assert!(err.contains("speed"), "{err}");
     }
 }

@@ -1,7 +1,7 @@
 //! `gmf-tidy`: the repo's in-tree determinism & soundness linter.
 //!
 //! Every guarantee this workspace makes — byte-identical reports across
-//! thread counts, warm-vs-cold admission equality, conformance bounds that
+//! thread counts, sharded-vs-cold admission equality, conformance bounds that
 //! dominate simulation — is a *determinism and numeric-exactness* property.
 //! The dynamic test suite can only catch a violation it happens to execute;
 //! this linter catches the well-known ways of smuggling nondeterminism or

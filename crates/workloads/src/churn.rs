@@ -6,8 +6,8 @@
 //! tear down.  This module generates a deterministic churn script on the
 //! sweep's converging star network and replays it against an admission
 //! controller, recording what every decision cost.  Running the same
-//! script in [`AdmissionMode::Cold`] and [`AdmissionMode::Warm`] is the
-//! headline experiment of the incremental admission engine (E11 /
+//! script in [`AdmissionMode::Cold`] and [`AdmissionMode::Sharded`] is the
+//! headline experiment of the sharded admission engine (E11 /
 //! `exp_admission_churn`): decisions and bounds are byte-identical, the
 //! per-decision cost is not.
 //!
@@ -15,8 +15,8 @@
 //! [`gmf_par::derive_seed`]`(seed, event_index)`, so the event sequence
 //! depends only on `(seed, config)` — never on thread counts or on how
 //! many analyses an engine ran.  Departures pick uniformly among the
-//! currently *live* flows; since cold and warm engines take byte-identical
-//! decisions, both replay the identical script.
+//! currently *live* flows; since cold and sharded engines take
+//! byte-identical decisions, both replay the identical script.
 
 use crate::sweep::SweepConfig;
 use crate::synthetic::random_gmf_flow;
@@ -41,7 +41,7 @@ pub struct ChurnConfig {
     /// Number of sink hosts on the star.  Each arrival routes from a
     /// random source to a random sink; flows towards different sinks on
     /// different access links never interfere, which is exactly what the
-    /// warm engine's dependency-scoped re-verification exploits.
+    /// sharded engine's per-shard trials exploit.
     pub n_sinks: usize,
     /// The star network and flow-structure generator (the sweep's);
     /// `sweep.n_sources` is the number of *source* hosts, on top of which
@@ -76,14 +76,11 @@ pub struct ChurnOutcome {
     pub departures: usize,
     /// Flows live at the end of the replay.
     pub live: usize,
-    /// Total holistic rounds across all decisions (including cold fallback
-    /// reruns).
+    /// Total holistic rounds across all decisions.
     pub rounds: usize,
     /// Total per-flow pipeline analyses across all decisions — the cost
-    /// metric the warm engine shrinks.
+    /// metric the sharded engine shrinks.
     pub flow_analyses: usize,
-    /// Decisions whose final report came from the warm-started path.
-    pub warm_decisions: usize,
     /// Worst end-to-end bound of the final accepted set (ns-precision
     /// string keeps the type serde-friendly), `"-"` when empty.
     pub final_worst_bound: String,
@@ -155,7 +152,6 @@ pub fn run_churn(
         live: 0,
         rounds: 0,
         flow_analyses: 0,
-        warm_decisions: 0,
         final_worst_bound: "-".to_string(),
         final_schedulable: true,
     };
@@ -195,9 +191,6 @@ pub fn run_churn(
             let cost = decision.cost();
             outcome.rounds += cost.rounds;
             outcome.flow_analyses += cost.flow_analyses;
-            if cost.warm {
-                outcome.warm_decisions += 1;
-            }
             if decision.is_accepted() {
                 outcome.accepted += 1;
             } else {
@@ -234,8 +227,18 @@ mod tests {
 
     #[test]
     fn churn_is_reproducible_for_a_seed() {
-        let a = run_churn(5, &small(), &AnalysisConfig::paper(), AdmissionMode::Warm);
-        let b = run_churn(5, &small(), &AnalysisConfig::paper(), AdmissionMode::Warm);
+        let a = run_churn(
+            5,
+            &small(),
+            &AnalysisConfig::paper(),
+            AdmissionMode::Sharded,
+        );
+        let b = run_churn(
+            5,
+            &small(),
+            &AnalysisConfig::paper(),
+            AdmissionMode::Sharded,
+        );
         assert_eq!(a, b);
         assert_eq!(a.arrivals + a.departures, small().n_events);
         assert!(a.arrivals > 0 && a.departures > 0, "{a:?}");
@@ -247,37 +250,34 @@ mod tests {
         let config = small();
         let analysis = AnalysisConfig::paper();
         let cold = run_churn(9, &config, &analysis, AdmissionMode::Cold);
-        let warm = run_churn(9, &config, &analysis, AdmissionMode::Warm);
+        let sharded = run_churn(9, &config, &analysis, AdmissionMode::Sharded);
         // Identical script, identical decisions, identical final bounds.
-        assert_eq!(cold.arrivals, warm.arrivals);
-        assert_eq!(cold.accepted, warm.accepted);
-        assert_eq!(cold.rejected, warm.rejected);
-        assert_eq!(cold.departures, warm.departures);
-        assert_eq!(cold.live, warm.live);
-        assert_eq!(cold.final_worst_bound, warm.final_worst_bound);
-        assert_eq!(cold.final_schedulable, warm.final_schedulable);
-        // The cold engine never reports warm decisions; the warm engine
-        // does real incremental work and is strictly cheaper in total.
-        assert_eq!(cold.warm_decisions, 0);
-        assert!(warm.warm_decisions > 0, "{warm:?}");
+        assert_eq!(cold.arrivals, sharded.arrivals);
+        assert_eq!(cold.accepted, sharded.accepted);
+        assert_eq!(cold.rejected, sharded.rejected);
+        assert_eq!(cold.departures, sharded.departures);
+        assert_eq!(cold.live, sharded.live);
+        assert_eq!(cold.final_worst_bound, sharded.final_worst_bound);
+        assert_eq!(cold.final_schedulable, sharded.final_schedulable);
+        // Per-shard trials are strictly cheaper in total than global ones.
         assert!(
-            warm.flow_analyses < cold.flow_analyses,
-            "warm {} vs cold {}",
-            warm.flow_analyses,
+            sharded.flow_analyses < cold.flow_analyses,
+            "sharded {} vs cold {}",
+            sharded.flow_analyses,
             cold.flow_analyses
         );
-        assert!(warm.analyses_per_decision() < cold.analyses_per_decision());
+        assert!(sharded.analyses_per_decision() < cold.analyses_per_decision());
     }
 
     #[test]
     fn churn_output_is_thread_invariant() {
         let config = small();
-        let base = run_churn(3, &config, &AnalysisConfig::paper(), AdmissionMode::Warm);
+        let base = run_churn(3, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
         let par = run_churn(
             3,
             &config,
             &AnalysisConfig::paper().with_threads(4),
-            AdmissionMode::Warm,
+            AdmissionMode::Sharded,
         );
         // Thread count moves wall clock only, never results or costs.
         assert_eq!(base, par);
@@ -290,7 +290,7 @@ mod tests {
             departure_fraction: 1.5,
             ..small()
         };
-        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Warm);
+        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
     }
 
     #[test]
@@ -300,6 +300,6 @@ mod tests {
             flow_utilization: (0.05, 0.01),
             ..small()
         };
-        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Warm);
+        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
     }
 }

@@ -134,6 +134,24 @@ mod tests {
     }
 
     #[test]
+    fn invalid_link_in_a_scenario_file_is_rejected() {
+        // Loading must run the link validation: one link of the paper
+        // scenario with a −1 s propagation delay makes the whole file fail
+        // to parse instead of analysing to a negative "schedulable" bound.
+        let (s, _) = paper_scenario();
+        let json = ScenarioFile::new("paper", "example", s.topology, s.flows)
+            .to_json()
+            .unwrap();
+        let key = "\"propagation\": ";
+        let start = json.find(key).unwrap() + key.len();
+        let end = start + json[start..].find([',', '\n']).unwrap();
+        let bad = format!("{}-1.0{}", &json[..start], &json[end..]);
+        assert!(ScenarioFile::from_json(&json).is_ok());
+        let err = ScenarioFile::from_json(&bad).unwrap_err();
+        assert!(err.to_string().contains("propagation"), "{err}");
+    }
+
+    #[test]
     fn malformed_json_is_rejected() {
         assert!(ScenarioFile::from_json("{not json").is_err());
         assert!(ScenarioFile::load("/nonexistent/path/scenario.json").is_err());

@@ -1,19 +1,18 @@
-//! Property-based tests of the incremental admission engine: warm starts,
-//! dependency-scoped re-verification and departures must all be invisible
-//! in the decisions and bounds.
+//! Property-based tests of the sharded admission engine: per-shard trials
+//! and departures must both be invisible in the decisions and bounds.
 //!
-//! (a) Driving random sweep-style flow sets through a warm controller one
-//!     flow at a time takes exactly the decisions a cold controller takes,
-//!     and every decision's report is byte-identical (frame bounds,
+//! (a) Driving random sweep-style flow sets through a sharded controller
+//!     one flow at a time takes exactly the decisions a cold controller
+//!     takes, and every decision's report is byte-identical (frame bounds,
 //!     verdicts, failure attribution) to a cold `analyze` of the same
-//!     trial set — iteration traces aside.  Warm reports cover the
+//!     trial set — iteration traces aside.  Sharded reports cover the
 //!     candidate's *shard*, so the comparison projects the global
 //!     reference onto the flows the shard report carries.
 //! (b) Releasing a random accepted flow and re-admitting the same binding
 //!     restores identical reports for every flow.  "Identical" here is up
 //!     to the analysis tolerance: the re-admitted flow's fresh id moves it
 //!     to the *end* of every interference sum, and floating-point addition
-//!     is not associative — the warm engine is byte-identical to a cold
+//!     is not associative — the sharded engine is byte-identical to a cold
 //!     analysis of the same (reordered) trial set either way, which is
 //!     what (a) pins down exactly.
 
@@ -51,8 +50,8 @@ fn random_requests(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let config = SweepConfig::default();
     let flows = random_flow_collection(&mut rng, n_flows, utilization, &config.synthetic);
-    // Two sinks so the dependency graph has genuinely disjoint regions and
-    // the scoped re-verification path is exercised, not just warm starts.
+    // Two sinks so the dependency graph can split into disjoint shards and
+    // trials genuinely cover less than the whole accepted set.
     let (topology, _switch, hosts) = star(config.n_sources + 2, config.link, config.switch);
     let sinks = &hosts[..2];
     let sources = &hosts[2..];
@@ -72,7 +71,7 @@ fn random_requests(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// (a) Warm-started admission is byte-identical to cold analysis.
+    /// (a) Sharded admission is byte-identical to cold analysis.
     #[test]
     fn warm_admission_is_byte_identical_to_cold_analysis(
         seed in 0u64..1_000_000,
@@ -81,19 +80,19 @@ proptest! {
     ) {
         let analysis = AnalysisConfig::paper();
         let (topology, requests) = random_requests(seed, n_flows, utilization);
-        let mut warm = AdmissionController::new(topology.clone(), analysis);
+        let mut sharded = AdmissionController::new(topology.clone(), analysis);
         let mut cold =
             AdmissionController::new(topology.clone(), analysis).with_mode(AdmissionMode::Cold);
-        prop_assert_eq!(warm.mode(), AdmissionMode::Warm);
+        prop_assert_eq!(sharded.mode(), AdmissionMode::Sharded);
 
         for (flow, route, priority) in requests {
             // The reference: a cold holistic analysis of the very trial
-            // set the warm controller is about to decide on.
-            let mut trial: FlowSet = warm.accepted().clone();
+            // set the sharded controller is about to decide on.
+            let mut trial: FlowSet = sharded.accepted().clone();
             trial.add(flow.clone(), route.clone(), priority);
             let reference = analyze(&topology, &trial, &analysis).unwrap();
 
-            let w = submit(&mut warm, flow.clone(), route.clone(), priority);
+            let w = submit(&mut sharded, flow.clone(), route.clone(), priority);
             let c = submit(&mut cold, flow, route, priority);
 
             // Decisions agree with each other and with the reference.
@@ -102,10 +101,10 @@ proptest! {
             prop_assert_eq!(w.id(), c.id());
 
             // Bounds, verdicts and failure attribution are byte-identical
-            // (iteration traces aside).  For non-converged trials the warm
-            // engine restarts cold, so even the partial reports match.
-            // The warm report covers the candidate's shard; every entry it
-            // carries must equal the global reference's entry bytewise.
+            // (iteration traces aside), partial reports of non-converged
+            // trials included.  The sharded report covers the candidate's
+            // shard; every entry it carries must equal the global
+            // reference's entry bytewise.
             for flow_report in &w.report().flows {
                 prop_assert_eq!(Some(flow_report), reference.flow(flow_report.flow));
             }
@@ -126,7 +125,7 @@ proptest! {
                 (a, b) => prop_assert_eq!(a.is_accepted(), b.is_accepted()),
             }
         }
-        prop_assert_eq!(warm.accepted(), cold.accepted());
+        prop_assert_eq!(sharded.accepted(), cold.accepted());
     }
 
     /// (b) Release followed by re-admission restores identical reports.
@@ -194,8 +193,8 @@ proptest! {
     }
 }
 
-/// The warm cache survives departures: after a release, the next trial
-/// still runs warm and still matches a cold analysis byte for byte.
+/// Departures leave later trials exact: after releases, every trial still
+/// matches a cold analysis byte for byte.
 #[test]
 fn warm_trials_after_departures_match_cold_analysis() {
     let analysis = AnalysisConfig::paper();

@@ -84,16 +84,15 @@ proptest! {
     }
 }
 
-/// Round skipping must also be invisible through the warm-started,
-/// dependency-scoped admission path (it composes with `Scope`): a warm
-/// controller takes byte-identical decisions to a cold controller that
-/// re-analyses the whole accepted set per request.
+/// Round skipping must also be invisible through the sharded admission
+/// path: a sharded controller takes byte-identical decisions to a cold
+/// controller that re-analyses the whole accepted set per request.
 #[test]
 fn skipping_is_invisible_through_warm_admission() {
     use gmfnet::analysis::{AdmissionController, AdmissionMode, AdmissionRequest};
     let (topology, set) = sweep_set(20_080_511, 8, 0.5);
-    let mut warm = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Warm);
+    let mut sharded = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
+        .with_mode(AdmissionMode::Sharded);
     let mut cold =
         AdmissionController::new(topology, AnalysisConfig::paper()).with_mode(AdmissionMode::Cold);
     for binding in set.bindings() {
@@ -102,21 +101,21 @@ fn skipping_is_invisible_through_warm_admission() {
             binding.route.clone(),
             binding.priority,
         );
-        let w = warm
+        let w = sharded
             .request_batch([request.clone()])
             .unwrap()
             .pop()
             .unwrap();
         let c = cold.request_batch([request]).unwrap().pop().unwrap();
         assert_eq!(w.is_accepted(), c.is_accepted());
-        // Warm reports are shard-scoped; each entry matches the cold
+        // Sharded reports are shard-scoped; each entry matches the cold
         // (global) report's entry for the same flow bytewise.
         for flow_report in &w.report().flows {
             assert_eq!(Some(flow_report), c.report().flow(flow_report.flow));
         }
         assert_eq!(w.report().failure, c.report().failure);
-        // Skipping + scoping can only reduce the per-decision work.
+        // A shard's solve is a subset of the global solve's work.
         assert!(w.cost().flow_analyses <= c.cost().flow_analyses);
     }
-    assert_eq!(warm.accepted(), cold.accepted());
+    assert_eq!(sharded.accepted(), cold.accepted());
 }

@@ -1,8 +1,8 @@
 //! Property tests of the failure-and-recovery subsystem: for every
 //! single-failure scenario of a ring-of-cells workload — each cable cut,
 //! each switch CPU degradation — the *incremental* survivability verdict
-//! (release the affected shards from a warm admission controller, rebase
-//! onto the survivor topology, re-admit the re-routed flows in one
+//! (release the affected shards from a preloaded admission controller,
+//! rebase onto the survivor topology, re-admit the re-routed flows in one
 //! holistic solve, falling back to one-by-one admission when they do not
 //! all fit) must be **byte-identical** to a cold from-scratch analysis of
 //! the re-routed survivor set: same schedulability verdict, same stranded

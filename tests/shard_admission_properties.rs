@@ -1,5 +1,5 @@
 //! Property tests of the sharded admission plane: batched, shard-parallel
-//! warm admission must be *decision-for-decision byte-identical* to a
+//! admission must be *decision-for-decision byte-identical* to a
 //! sequential cold controller that re-analyses the whole accepted set per
 //! request — across worker threads and arrival/departure (churn) orders —
 //! and the partition layer must track shard merges and splits exactly.
@@ -7,9 +7,11 @@
 //! The comparisons pin the tentpole claims of the sharded plane:
 //!
 //! (a) accept/reject verdicts, rejection reasons and victim attributions
-//!     are identical; warm (shard-scoped) trial reports are bytewise
-//!     projections of the cold (global) reports; the final accepted sets
-//!     are equal; and the final bounds also equal the deliberately simple
+//!     are identical; sharded (shard-scoped) trial reports are bytewise
+//!     projections of the cold (global) reports; every report the sharded
+//!     controller caches equals a cold analysis of its accepted set after
+//!     every batch and release; the final accepted sets are equal; and the
+//!     final bounds also equal the deliberately simple
 //!     [`gmfnet::analysis::analyze_reference`] oracle, which shares no
 //!     hot-path code with the production engine;
 //! (b) an accepted bridge merges every shard its route touches
@@ -18,8 +20,8 @@
 //!     from-scratch [`DependencyGraph`] rebuild.
 
 use gmfnet::analysis::{
-    analyze_reference, AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest,
-    AnalysisConfig, DependencyGraph,
+    analyze, analyze_reference, AdmissionController, AdmissionDecision, AdmissionMode,
+    AdmissionRequest, AnalysisConfig, DependencyGraph,
 };
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
@@ -29,18 +31,18 @@ fn sweep_set(seed: u64, n_flows: usize, utilization: f64) -> (Topology, FlowSet)
     random_sweep_set(seed, n_flows, utilization, &SweepConfig::default())
 }
 
-/// Assert one batched-warm decision equals its sequential-cold
+/// Assert one batched-sharded decision equals its sequential-cold
 /// counterpart: same verdict, same id, same reason and victim, and the
-/// warm (shard-scoped) report is a bytewise projection of the cold
+/// sharded (shard-scoped) report is a bytewise projection of the cold
 /// (global) one.
-fn assert_decisions_match(warm: &AdmissionDecision, cold: &AdmissionDecision, context: &str) {
-    assert_eq!(warm.is_accepted(), cold.is_accepted(), "{context}");
-    assert_eq!(warm.id(), cold.id(), "{context}");
-    match (warm, cold) {
+fn assert_decisions_match(sharded: &AdmissionDecision, cold: &AdmissionDecision, context: &str) {
+    assert_eq!(sharded.is_accepted(), cold.is_accepted(), "{context}");
+    assert_eq!(sharded.id(), cold.id(), "{context}");
+    match (sharded, cold) {
         (
             AdmissionDecision::Rejected {
-                reason: warm_reason,
-                victim: warm_victim,
+                reason: sharded_reason,
+                victim: sharded_victim,
                 ..
             },
             AdmissionDecision::Rejected {
@@ -49,17 +51,35 @@ fn assert_decisions_match(warm: &AdmissionDecision, cold: &AdmissionDecision, co
                 ..
             },
         ) => {
-            assert_eq!(warm_reason, cold_reason, "{context}");
-            assert_eq!(warm_victim, cold_victim, "{context}");
+            assert_eq!(sharded_reason, cold_reason, "{context}");
+            assert_eq!(sharded_victim, cold_victim, "{context}");
         }
         (AdmissionDecision::Accepted { .. }, AdmissionDecision::Accepted { .. }) => {}
         _ => unreachable!("verdicts already compared"),
     }
-    for flow_report in &warm.report().flows {
+    for flow_report in &sharded.report().flows {
         assert_eq!(
             Some(flow_report),
             cold.report().flow(flow_report.flow),
-            "{context}: warm shard report must project out of the cold global report"
+            "{context}: sharded report must project out of the cold global report"
+        );
+    }
+}
+
+/// Assert every report `ctl` caches equals the same flow's report in a
+/// cold analysis of its accepted set — the bounds the survivability sweep
+/// reads for flows it does not re-verify.
+fn assert_cache_matches_cold(ctl: &AdmissionController, context: &str) {
+    if ctl.accepted().is_empty() {
+        assert_eq!(ctl.cached_reports().count(), 0, "{context}");
+        return;
+    }
+    let cold = analyze(ctl.topology(), ctl.accepted(), &AnalysisConfig::paper()).unwrap();
+    for (id, report) in ctl.cached_reports() {
+        assert_eq!(
+            Some(report),
+            cold.flow(id),
+            "{context}: cached report of {id}"
         );
     }
 }
@@ -67,7 +87,7 @@ fn assert_decisions_match(warm: &AdmissionDecision, cold: &AdmissionDecision, co
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Batched shard-parallel warm admission == sequential global cold
+    /// (a) Batched shard-parallel admission == sequential global cold
     /// admission, across threads, through a churn step.
     #[test]
     fn batched_warm_admission_matches_sequential_cold(
@@ -80,8 +100,8 @@ proptest! {
         let (topology, set) = sweep_set(seed, n_flows, utilization);
         for threads in [1usize, 4] {
             let config = AnalysisConfig::paper().with_threads(threads);
-            let mut warm = AdmissionController::new(topology.clone(), config)
-                .with_mode(AdmissionMode::Warm);
+            let mut sharded = AdmissionController::new(topology.clone(), config)
+                .with_mode(AdmissionMode::Sharded);
             let mut cold = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
                 .with_mode(AdmissionMode::Cold);
 
@@ -99,46 +119,51 @@ proptest! {
                             )
                         })
                         .collect();
-                    let warm_decisions = warm.request_batch(requests.clone()).unwrap();
+                    let sharded_decisions = sharded.request_batch(requests.clone()).unwrap();
                     // The cold oracle takes the same requests one at a
                     // time — the semantics request_batch must preserve.
-                    for (request, warm_decision) in
-                        requests.into_iter().zip(&warm_decisions)
+                    for (request, sharded_decision) in
+                        requests.into_iter().zip(&sharded_decisions)
                     {
                         let cold_decision =
                             cold.request_batch([request]).unwrap().pop().unwrap();
                         assert_decisions_match(
-                            warm_decision,
+                            sharded_decision,
                             &cold_decision,
                             &format!("threads {threads}"),
                         );
                     }
+                    assert_cache_matches_cold(&sharded, &format!("threads {threads}, batch"));
                 }
                 // Churn between the halves: the same departure on both
                 // controllers must keep them in lockstep.
                 if half == 0 {
-                    let ids: Vec<_> = warm.accepted().ids().collect();
+                    let ids: Vec<_> = sharded.accepted().ids().collect();
                     if !ids.is_empty() {
                         let departing = ids[drop_index % ids.len()];
-                        warm.release(departing).unwrap();
+                        sharded.release(departing).unwrap();
                         cold.release(departing).unwrap();
+                        assert_cache_matches_cold(
+                            &sharded,
+                            &format!("threads {threads}, release"),
+                        );
                     }
                 }
             }
 
-            prop_assert_eq!(warm.accepted(), cold.accepted());
-            prop_assert_eq!(warm.partition(), &DependencyGraph::new(warm.accepted()));
+            prop_assert_eq!(sharded.accepted(), cold.accepted());
+            prop_assert_eq!(sharded.partition(), &DependencyGraph::new(sharded.accepted()));
 
             // Independent final oracle: the reference engine (keyed,
             // sequential Picard) agrees on the surviving set's bounds.
-            if !warm.accepted().is_empty() {
+            if !sharded.accepted().is_empty() {
                 let reference = analyze_reference(
                     &topology,
-                    warm.accepted(),
+                    sharded.accepted(),
                     &AnalysisConfig::paper(),
                 )
                 .unwrap();
-                let reanalyzed = warm.reanalyze().unwrap();
+                let reanalyzed = sharded.reanalyze().unwrap();
                 prop_assert_eq!(&reference.flows, &reanalyzed.flows);
                 prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
             }
@@ -166,7 +191,7 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
     };
     let (topology, _, hosts) = star(6, LinkProfile::ethernet_100m(), SwitchConfig::paper());
     let mut ctl = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Warm);
+        .with_mode(AdmissionMode::Sharded);
 
     // Two link-disjoint flows: two singleton shards.
     let r01 = shortest_path(&topology, hosts[0], hosts[1]).unwrap();
@@ -249,7 +274,7 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
 /// Topology-mutation edge case: cut a trunk of a ring workload, drive the
 /// admission plane through the primitives the survivability module
 /// composes — whole-shard `release_batch`, `rebase` onto the survivor
-/// topology, shard-scoped re-admission over fallback routes — and the
+/// topology, per-shard re-admission over fallback routes — and the
 /// partition must still equal a from-scratch [`DependencyGraph`] rebuild,
 /// with every flow re-admitted (the ring strands nothing).
 #[test]
