@@ -75,8 +75,8 @@ pub mod resilience;
 pub mod stage;
 
 pub use admission::{
-    AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest, AdmissionVictim,
-    DecisionCost, PreloadStats,
+    AdmissionController, AdmissionDecision, AdmissionRequest, AdmissionVictim, DecisionCost,
+    PreloadStats,
 };
 pub use baseline::{
     analyze_sporadic_baseline, sporadic_collapse, utilization_check, UtilizationCheck,
@@ -103,8 +103,7 @@ pub use stage::StageResult;
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
     pub use crate::admission::{
-        AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest, AdmissionVictim,
-        DecisionCost,
+        AdmissionController, AdmissionDecision, AdmissionRequest, AdmissionVictim, DecisionCost,
     };
     pub use crate::baseline::{analyze_sporadic_baseline, sporadic_collapse, utilization_check};
     pub use crate::config::AnalysisConfig;

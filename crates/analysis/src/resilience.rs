@@ -276,8 +276,9 @@ impl SurvivabilityAnalysis {
         Ok((SurvivabilityAnalysis { controller }, stats))
     }
 
-    /// Wrap an existing controller (it should be sharded and preloaded: a
-    /// cold or cache-less controller still yields correct verdicts, only
+    /// Wrap an existing controller (ideally preloaded, so its report cache
+    /// covers every accepted flow: a controller whose cache is incomplete —
+    /// a hard error clears it — still yields correct verdicts, only
     /// slower, reading margins off one extra re-analysis).
     pub fn from_controller(controller: AdmissionController) -> Self {
         SurvivabilityAnalysis { controller }

@@ -1,8 +1,9 @@
 //! `bench_export` — machine-readable benchmark medians and analysis cost
 //! counters for the CI perf trajectory.
 //!
-//! Runs a curated set of the workspace's benchmark bodies (the same
-//! workloads as the Criterion benches B1–B4) a handful of times each and
+//! Runs the workspace's benchmark bodies (B1–B7: request-bound functions,
+//! per-resource analyses, holistic analysis, simulator, admission churn,
+//! metro admission and the tightness atlas) a handful of times each and
 //! writes `BENCH.json`:
 //!
 //! ```json
@@ -34,8 +35,8 @@
 //! `BENCH.json`).  Sample count: `GMF_BENCH_EXPORT_SAMPLES` (default 7).
 
 use gmf_analysis::{
-    analyze, first_hop_response, iterate_from, AdmissionMode, AnalysisConfig, AnalysisContext,
-    JitterMap,
+    analyze, egress_response, first_hop_response, ingress_response, iterate_from, AnalysisConfig,
+    AnalysisContext, JitterMap,
 };
 use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
@@ -47,6 +48,7 @@ use gmf_bench::{
 use gmf_model::{
     paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, FlowId, LinkDemand, Time,
 };
+use gmf_net::NodeId;
 use gmf_workloads::{paper_scenario, run_churn};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -102,9 +104,21 @@ fn main() {
     );
     let demand = LinkDemand::new(&flow, &encapsulation, speed);
     record(
+        "mx_sub_cycle_window",
+        median_ns(samples, || {
+            black_box(demand.mx(black_box(Time::from_millis(95.0))));
+        }),
+    );
+    record(
         "mx_multi_cycle_window",
         median_ns(samples, || {
             black_box(demand.mx(black_box(Time::from_secs(3.0))));
+        }),
+    );
+    record(
+        "nx_multi_cycle_window",
+        median_ns(samples, || {
+            black_box(demand.nx(black_box(Time::from_secs(3.0))));
         }),
     );
     record(
@@ -114,7 +128,8 @@ fn main() {
         }),
     );
 
-    // B2 — one per-resource analysis.
+    // B2 — one per-resource analysis of each kind (the video's first IP
+    // frame at its source, then at switch N4's ingress and egress).
     let (scenario, ids) = paper_scenario();
     let ctx = AnalysisContext::new(&scenario.topology, &scenario.flows).unwrap();
     let jitters = JitterMap::initial(&scenario.flows);
@@ -125,6 +140,38 @@ fn main() {
         median_ns(samples, || {
             black_box(
                 first_hop_response(&ctx, &jitters, &paper_config, black_box(video), 0).unwrap(),
+            );
+        }),
+    );
+    record(
+        "switch_ingress_ip_frame",
+        median_ns(samples, || {
+            black_box(
+                ingress_response(
+                    &ctx,
+                    &jitters,
+                    &paper_config,
+                    black_box(video),
+                    0,
+                    NodeId(4),
+                )
+                .unwrap(),
+            );
+        }),
+    );
+    record(
+        "egress_link_ip_frame",
+        median_ns(samples, || {
+            black_box(
+                egress_response(
+                    &ctx,
+                    &jitters,
+                    &paper_config,
+                    black_box(video),
+                    0,
+                    NodeId(4),
+                )
+                .unwrap(),
             );
         }),
     );
@@ -215,26 +262,19 @@ fn main() {
         }
     }
 
-    // B5 — admission churn: global cold restarts vs per-shard cold solves
-    // on the shared churn script (same workload as the Criterion
-    // `churn_admission` axis and E11).
+    // B5 — admission churn: one cold solve per candidate shard on the
+    // shared churn script (the workload of E11).
     let churn = churn_bench_config();
-    for (name, mode) in [
-        ("cold", AdmissionMode::Cold),
-        ("sharded", AdmissionMode::Sharded),
-    ] {
-        record(
-            &format!("churn_admission/{name}"),
-            median_ns(samples, || {
-                black_box(run_churn(
-                    black_box(CHURN_BENCH_SEED),
-                    &churn,
-                    &paper_config,
-                    mode,
-                ));
-            }),
-        );
-    }
+    record(
+        "churn_admission/sharded",
+        median_ns(samples, || {
+            black_box(run_churn(
+                black_box(CHURN_BENCH_SEED),
+                &churn,
+                &paper_config,
+            ));
+        }),
+    );
 
     // B6 — metro-scale sharded admission on the small instance (same
     // definition as E14's full-scale run): one timing for the whole

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries and `bench_export`.
 //!
 //! Every experiment binary (`src/bin/exp_*.rs`) regenerates one figure,
 //! worked example or claim of the paper (see DESIGN.md §6 and
@@ -233,10 +233,8 @@ pub const HOLISTIC_THREAD_AXIS: [usize; 3] = [1, 2, 4];
 /// The random converging star set the holistic benches time (seed 99,
 /// 40 % offered utilization on the sweep generator).
 ///
-/// Both `benches/holistic.rs` and the `bench_export` binary call this, so
-/// a `holistic_synthetic/N` or `holistic_threads/N` entry in `BENCH.json`
-/// always times exactly the workload the Criterion bench of the same name
-/// times — retuning the workload here retunes both surfaces together.
+/// The `bench_export` binary's `holistic_synthetic/N` and
+/// `holistic_threads/N` entries time exactly this workload.
 pub fn synthetic_converging_set(n_flows: usize) -> (gmf_net::Topology, gmf_net::FlowSet) {
     gmf_workloads::random_sweep_set(99, n_flows, 0.4, &gmf_workloads::SweepConfig::default())
 }
@@ -286,14 +284,13 @@ pub fn long_tail_bench_scenario() -> (gmf_net::Topology, gmf_net::FlowSet) {
     long_tail_line_scenario(6, 6)
 }
 
-/// The churn workload the `churn_admission` bench axis, `bench_export`
-/// and E11 (`exp_admission_churn`) all replay: arrivals and departures on
-/// the sweep's converging star, sized so the live set stays around a
-/// dozen flows.
+/// The churn workload `bench_export` and E11 (`exp_admission_churn`) both
+/// replay: arrivals and departures on the sweep's converging star, sized
+/// so the live set stays around a dozen flows.
 ///
-/// A single definition keeps the three surfaces honest: a
-/// `churn_admission/cold-vs-sharded` entry in `BENCH.json` always times
-/// exactly the script the Criterion bench and the experiment binary run.
+/// A single definition keeps the two surfaces honest: the
+/// `churn_admission/sharded` entry in `BENCH.json` always times exactly
+/// the script the experiment binary runs.
 pub fn churn_bench_config() -> gmf_workloads::ChurnConfig {
     gmf_workloads::ChurnConfig {
         n_events: 64,
@@ -612,8 +609,8 @@ pub fn run_survivability_sweep(
 /// runs (fast bodies are batched so each sample spans at least ~100 µs).
 ///
 /// This is the measurement behind the `bench_export` binary: a handful of
-/// samples and a median is enough for a CI trajectory without criterion's
-/// statistical machinery.
+/// samples and a median is enough for a CI trajectory without a
+/// statistics framework.
 pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
     use std::time::Instant;
     let samples = samples.max(1);
@@ -655,8 +652,11 @@ mod tests {
 
     #[test]
     fn median_ns_measures_something() {
+        // Opaque bound and elements: optimised builds can neither
+        // constant-fold the sum nor replace the loop with a closed form.
+        use std::hint::black_box;
         let ns = median_ns(3, || {
-            std::hint::black_box((0..100u64).sum::<u64>());
+            black_box((0..black_box(100u64)).map(black_box).sum::<u64>());
         });
         assert!(ns > 0);
     }

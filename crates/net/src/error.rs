@@ -24,6 +24,23 @@ pub enum NetError {
         /// Which parameter is invalid, and its value.
         detail: String,
     },
+    /// A switch was declared with no processor, or with a `CROUTE` or
+    /// `CSEND` that is negative or not finite.
+    InvalidSwitchConfig {
+        /// The switch.
+        node: NodeId,
+        /// Which parameter is invalid, and its value.
+        detail: String,
+    },
+    /// A flow was bound to a priority above [`crate::Priority::HIGHEST`];
+    /// 802.1p has eight levels, and the analysis and the simulator would
+    /// read a higher value differently.
+    PriorityOutOfRange {
+        /// The flow id.
+        flow: usize,
+        /// The offending priority.
+        priority: u8,
+    },
     /// A route is shorter than two nodes.
     RouteTooShort,
     /// A route visits the same node twice.
@@ -62,6 +79,13 @@ impl fmt::Display for NetError {
                     "link from {src} to {dst} has invalid parameters: {detail}"
                 )
             }
+            NetError::InvalidSwitchConfig { node, detail } => {
+                write!(f, "switch {node} has an invalid configuration: {detail}")
+            }
+            NetError::PriorityOutOfRange { flow, priority } => write!(
+                f,
+                "flow {flow} has priority {priority}, above the highest 802.1p priority 7"
+            ),
             NetError::RouteTooShort => write!(f, "a route must contain at least two nodes"),
             NetError::RouteRevisitsNode(n) => write!(f, "route visits node {n} more than once"),
             NetError::RouteThroughNonSwitch(n) => {

@@ -102,7 +102,8 @@ impl FlowBinding {
 ///
 /// The serialized form carries the bindings only (scenario files written
 /// before removals existed stay loadable); deserialization re-derives the
-/// id counter as `max(id) + 1`.  Consequently id stability holds within
+/// id counter as `max(id) + 1`, and rejects duplicated ids and priorities
+/// above [`Priority::HIGHEST`].  Consequently id stability holds within
 /// one in-memory set — analysis artefacts keyed by `FlowId` must not be
 /// carried across a save/load of a set whose highest-id flow departed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
@@ -142,6 +143,17 @@ impl<'de> serde::de::Deserialize<'de> for FlowSet {
                 "duplicate flow id {} in FlowSet",
                 window[0].id
             )));
+        }
+        // The analysis compares raw priorities while the simulator's switch
+        // has eight queues, so a priority above 7 would mean different
+        // things to the two; reject it.
+        if let Some(b) = bindings.iter().find(|b| b.priority > Priority::HIGHEST) {
+            return Err(<D::Error as serde::de::Error>::custom(
+                NetError::PriorityOutOfRange {
+                    flow: b.id.0,
+                    priority: b.priority.0,
+                },
+            ));
         }
         let next_id = bindings.last().map(|b| b.id.0 + 1).unwrap_or(0);
         Ok(FlowSet { bindings, next_id })
@@ -652,6 +664,19 @@ mod tests {
         );
         let route = back.get(FlowId(1)).unwrap().route.clone();
         assert_eq!(back.add(bulk, route, Priority(3)), FlowId(3));
+    }
+
+    #[test]
+    fn deserialization_rejects_priorities_above_seven() {
+        let (_, fs, _) = setup();
+        let with_priority = |priority: u8| {
+            let mut fs = fs.clone();
+            fs.bindings[1].priority = Priority(priority);
+            serde_json::from_str::<FlowSet>(&serde_json::to_string(&fs).unwrap())
+        };
+        assert!(with_priority(Priority::HIGHEST.0).is_ok());
+        let err = with_priority(9).unwrap_err().to_string();
+        assert!(err.contains("flow 1 has priority 9"), "{err}");
     }
 
     #[test]

@@ -20,7 +20,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Serialization only stores the nodes and links; deserialization rebuilds
 /// the lookup indexes by replaying every link through
 /// [`Topology::add_link`], so a hand-edited file with a malformed link
-/// fails to load with that link's [`NetError`].  The failure overlay
+/// fails to load with that link's [`NetError`].  Every switch's CPU
+/// parameters are checked on load too: no processor, or a negative or
+/// non-finite `CROUTE`/`CSEND`, fails with
+/// [`NetError::InvalidSwitchConfig`].  The failure overlay
 /// ([`Topology::fail_link`], [`Topology::degrade_switch`]) is *transient*
 /// operational state and is deliberately dropped by serialization: a
 /// persisted topology always describes the installed hardware.
@@ -74,7 +77,10 @@ impl<'de> serde::de::Deserialize<'de> for Topology {
         let wire = TopologySerde::deserialize(deserializer)?;
         let mut t = Topology::new();
         for node in &wire.nodes {
-            t.add_node(node.kind, node.name.clone());
+            let id = t.add_node(node.kind, node.name.clone());
+            if let NodeKind::Switch(config) = &node.kind {
+                check_switch_config(id, config).map_err(<D::Error as serde::de::Error>::custom)?;
+            }
         }
         for link in &wire.links {
             t.add_link(link.src, link.dst, link.speed, link.propagation)
@@ -82,6 +88,26 @@ impl<'de> serde::de::Deserialize<'de> for Topology {
         }
         Ok(t)
     }
+}
+
+/// Check the CPU parameters `CIRC` and the analysis kernel rely on: at
+/// least one processor, and finite, non-negative `CROUTE` and `CSEND`.
+fn check_switch_config(node: NodeId, config: &SwitchConfig) -> Result<(), NetError> {
+    if config.processors == 0 {
+        return Err(NetError::InvalidSwitchConfig {
+            node,
+            detail: "processors is 0; a switch needs at least one".to_string(),
+        });
+    }
+    for (name, cost) in [("croute", config.croute), ("csend", config.csend)] {
+        if !cost.is_finite() || cost.is_negative() {
+            return Err(NetError::InvalidSwitchConfig {
+                node,
+                detail: format!("{name} {cost} is negative or not finite"),
+            });
+        }
+    }
+    Ok(())
 }
 
 impl Topology {
@@ -569,6 +595,51 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("propagation"), "{err}");
+    }
+
+    /// Load `small()` after `edit` rewrote the serialized configuration of
+    /// its switch (an object with `croute`, `csend`, `processors`).
+    fn load_with_switch(edit: impl FnOnce(&mut SwitchConfig)) -> Result<Topology, String> {
+        let (mut t, _, sw, _) = small();
+        if let NodeKind::Switch(config) = &mut t.nodes[sw.0].kind {
+            edit(config);
+        }
+        let json = serde_json::to_string(&t).unwrap();
+        serde_json::from_str::<Topology>(&json).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn deserialization_rejects_invalid_switch_configs() {
+        assert!(load_with_switch(|_| {}).is_ok());
+        let err = load_with_switch(|c| c.processors = 0).unwrap_err();
+        assert!(err.contains("processors"), "{err}");
+        let err = load_with_switch(|c| c.croute = Time::from_secs(-1.0)).unwrap_err();
+        assert!(err.contains("croute"), "{err}");
+        let err = load_with_switch(|c| c.csend = Time::from_micros(-0.5)).unwrap_err();
+        assert!(err.contains("csend"), "{err}");
+        // A zero-cost switch is an idealisation, not nonsense.
+        assert!(load_with_switch(|c| {
+            c.croute = Time::ZERO;
+            c.csend = Time::ZERO;
+        })
+        .is_ok());
+        assert!(matches!(
+            check_switch_config(NodeId(1), &SwitchConfig::paper().with_processors(2)),
+            Ok(())
+        ));
+        assert!(matches!(
+            check_switch_config(
+                NodeId(1),
+                &SwitchConfig {
+                    processors: 0,
+                    ..SwitchConfig::paper()
+                }
+            ),
+            Err(NetError::InvalidSwitchConfig {
+                node: NodeId(1),
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -5,22 +5,18 @@
 //! real workload is a *churning* set — calls arrive, live for a while and
 //! tear down.  This module generates a deterministic churn script on the
 //! sweep's converging star network and replays it against an admission
-//! controller, recording what every decision cost.  Running the same
-//! script in [`AdmissionMode::Cold`] and [`AdmissionMode::Sharded`] is the
-//! headline experiment of the sharded admission engine (E11 /
-//! `exp_admission_churn`): decisions and bounds are byte-identical, the
-//! per-decision cost is not.
+//! controller, recording what every decision cost — the experiment behind
+//! E11 (`exp_admission_churn`).
 //!
 //! Determinism: every event draws from its own ChaCha8 stream seeded with
 //! [`gmf_par::derive_seed`]`(seed, event_index)`, so the event sequence
-//! depends only on `(seed, config)` — never on thread counts or on how
-//! many analyses an engine ran.  Departures pick uniformly among the
-//! currently *live* flows; since cold and sharded engines take
-//! byte-identical decisions, both replay the identical script.
+//! depends only on `(seed, config)` and the decisions taken so far —
+//! never on thread counts or on how many analyses a trial ran.
+//! Departures pick uniformly among the currently *live* flows.
 
 use crate::sweep::SweepConfig;
 use crate::synthetic::random_gmf_flow;
-use gmf_analysis::{AdmissionController, AdmissionMode, AdmissionRequest, AnalysisConfig};
+use gmf_analysis::{AdmissionController, AdmissionRequest, AnalysisConfig};
 use gmf_model::FlowId;
 use gmf_net::{shortest_path, star, Priority};
 use gmf_par::derive_seed;
@@ -64,8 +60,6 @@ impl Default for ChurnConfig {
 /// What one churn replay did and cost.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnOutcome {
-    /// The engine the replay drove.
-    pub mode: AdmissionMode,
     /// Arrival attempts (admission requests).
     pub arrivals: usize,
     /// Accepted arrivals.
@@ -106,19 +100,14 @@ impl ChurnOutcome {
 }
 
 /// Replay a deterministic churn script against a fresh admission
-/// controller in the given mode.
+/// controller.
 ///
 /// # Panics
 ///
 /// Panics if `config.sweep` is invalid (see [`SweepConfig::validate`]),
 /// `config.departure_fraction` is outside `[0, 1]`, `config.n_sinks` is
 /// zero, or `config.flow_utilization` is empty or non-positive.
-pub fn run_churn(
-    seed: u64,
-    config: &ChurnConfig,
-    analysis: &AnalysisConfig,
-    mode: AdmissionMode,
-) -> ChurnOutcome {
+pub fn run_churn(seed: u64, config: &ChurnConfig, analysis: &AnalysisConfig) -> ChurnOutcome {
     config
         .sweep
         .validate()
@@ -141,10 +130,9 @@ pub fn run_churn(
     );
     let sinks: Vec<_> = hosts[..config.n_sinks].to_vec();
     let sources: Vec<_> = hosts[config.n_sinks..].to_vec();
-    let mut ctl = AdmissionController::new(topology, *analysis).with_mode(mode);
+    let mut ctl = AdmissionController::new(topology, *analysis);
 
     let mut outcome = ChurnOutcome {
-        mode,
         arrivals: 0,
         accepted: 0,
         rejected: 0,
@@ -227,18 +215,8 @@ mod tests {
 
     #[test]
     fn churn_is_reproducible_for_a_seed() {
-        let a = run_churn(
-            5,
-            &small(),
-            &AnalysisConfig::paper(),
-            AdmissionMode::Sharded,
-        );
-        let b = run_churn(
-            5,
-            &small(),
-            &AnalysisConfig::paper(),
-            AdmissionMode::Sharded,
-        );
+        let a = run_churn(5, &small(), &AnalysisConfig::paper());
+        let b = run_churn(5, &small(), &AnalysisConfig::paper());
         assert_eq!(a, b);
         assert_eq!(a.arrivals + a.departures, small().n_events);
         assert!(a.arrivals > 0 && a.departures > 0, "{a:?}");
@@ -246,39 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_replays_agree_and_warm_is_cheaper() {
-        let config = small();
-        let analysis = AnalysisConfig::paper();
-        let cold = run_churn(9, &config, &analysis, AdmissionMode::Cold);
-        let sharded = run_churn(9, &config, &analysis, AdmissionMode::Sharded);
-        // Identical script, identical decisions, identical final bounds.
-        assert_eq!(cold.arrivals, sharded.arrivals);
-        assert_eq!(cold.accepted, sharded.accepted);
-        assert_eq!(cold.rejected, sharded.rejected);
-        assert_eq!(cold.departures, sharded.departures);
-        assert_eq!(cold.live, sharded.live);
-        assert_eq!(cold.final_worst_bound, sharded.final_worst_bound);
-        assert_eq!(cold.final_schedulable, sharded.final_schedulable);
-        // Per-shard trials are strictly cheaper in total than global ones.
-        assert!(
-            sharded.flow_analyses < cold.flow_analyses,
-            "sharded {} vs cold {}",
-            sharded.flow_analyses,
-            cold.flow_analyses
-        );
-        assert!(sharded.analyses_per_decision() < cold.analyses_per_decision());
-    }
-
-    #[test]
     fn churn_output_is_thread_invariant() {
         let config = small();
-        let base = run_churn(3, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
-        let par = run_churn(
-            3,
-            &config,
-            &AnalysisConfig::paper().with_threads(4),
-            AdmissionMode::Sharded,
-        );
+        let base = run_churn(3, &config, &AnalysisConfig::paper());
+        let par = run_churn(3, &config, &AnalysisConfig::paper().with_threads(4));
         // Thread count moves wall clock only, never results or costs.
         assert_eq!(base, par);
     }
@@ -290,7 +239,7 @@ mod tests {
             departure_fraction: 1.5,
             ..small()
         };
-        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
+        run_churn(1, &config, &AnalysisConfig::paper());
     }
 
     #[test]
@@ -300,6 +249,6 @@ mod tests {
             flow_utilization: (0.05, 0.01),
             ..small()
         };
-        run_churn(1, &config, &AnalysisConfig::paper(), AdmissionMode::Sharded);
+        run_churn(1, &config, &AnalysisConfig::paper());
     }
 }

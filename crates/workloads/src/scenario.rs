@@ -151,6 +151,40 @@ mod tests {
         assert!(err.to_string().contains("propagation"), "{err}");
     }
 
+    /// The paper scenario's JSON with the value of the first `key` field
+    /// replaced by `value`.
+    fn paper_json_with(key: &str, value: &str) -> String {
+        let (s, _) = paper_scenario();
+        let json = ScenarioFile::new("paper", "example", s.topology, s.flows)
+            .to_json()
+            .unwrap();
+        let key = format!("\"{key}\": ");
+        let start = json.find(&key).unwrap() + key.len();
+        let end = start + json[start..].find([',', '\n']).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
+    }
+
+    #[test]
+    fn invalid_switch_in_a_scenario_file_is_rejected() {
+        // A switch without a processor, or with a negative per-frame cost,
+        // must fail to load instead of panicking inside the analysis.
+        assert!(ScenarioFile::from_json(&paper_json_with("processors", "1")).is_ok());
+        let err = ScenarioFile::from_json(&paper_json_with("processors", "0")).unwrap_err();
+        assert!(err.to_string().contains("processors"), "{err}");
+        let err = ScenarioFile::from_json(&paper_json_with("croute", "-1.0")).unwrap_err();
+        assert!(err.to_string().contains("croute"), "{err}");
+        let err = ScenarioFile::from_json(&paper_json_with("csend", "-1.0")).unwrap_err();
+        assert!(err.to_string().contains("csend"), "{err}");
+    }
+
+    #[test]
+    fn priority_above_seven_in_a_scenario_file_is_rejected() {
+        // The analysis and the simulator would read priority 9 differently.
+        assert!(ScenarioFile::from_json(&paper_json_with("priority", "7")).is_ok());
+        let err = ScenarioFile::from_json(&paper_json_with("priority", "9")).unwrap_err();
+        assert!(err.to_string().contains("priority 9"), "{err}");
+    }
+
     #[test]
     fn malformed_json_is_rejected() {
         assert!(ScenarioFile::from_json("{not json").is_err());

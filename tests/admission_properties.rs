@@ -1,11 +1,11 @@
 //! Property-based tests of the sharded admission engine: per-shard trials
 //! and departures must both be invisible in the decisions and bounds.
 //!
-//! (a) Driving random sweep-style flow sets through a sharded controller
-//!     one flow at a time takes exactly the decisions a cold controller
-//!     takes, and every decision's report is byte-identical (frame bounds,
-//!     verdicts, failure attribution) to a cold `analyze` of the same
-//!     trial set — iteration traces aside.  Sharded reports cover the
+//! (a) Driving random sweep-style flow sets through the controller one
+//!     flow at a time takes exactly the decisions a cold `analyze` of
+//!     *accepted ∪ {candidate}* implies, and every decision's report is
+//!     byte-identical (frame bounds, verdicts, failure attribution) to
+//!     that reference — iteration traces aside.  Reports cover the
 //!     candidate's *shard*, so the comparison projects the global
 //!     reference onto the flows the shard report carries.
 //! (b) Releasing a random accepted flow and re-admitting the same binding
@@ -16,9 +16,11 @@
 //!     analysis of the same (reordered) trial set either way, which is
 //!     what (a) pins down exactly.
 
+mod common;
+
+use common::assert_matches_reference;
 use gmfnet::analysis::{
-    analyze, AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest,
-    AnalysisConfig,
+    analyze, AdmissionController, AdmissionDecision, AdmissionRequest, AnalysisConfig,
 };
 use gmfnet::model::GmfFlow;
 use gmfnet::net::{shortest_path, star, FlowSet, Priority, Route, Topology};
@@ -80,52 +82,30 @@ proptest! {
     ) {
         let analysis = AnalysisConfig::paper();
         let (topology, requests) = random_requests(seed, n_flows, utilization);
-        let mut sharded = AdmissionController::new(topology.clone(), analysis);
-        let mut cold =
-            AdmissionController::new(topology.clone(), analysis).with_mode(AdmissionMode::Cold);
-        prop_assert_eq!(sharded.mode(), AdmissionMode::Sharded);
+        let mut ctl = AdmissionController::new(topology.clone(), analysis);
+        // The accepted set the reference implies, consuming one id per
+        // request like the controller does.
+        let mut expected = FlowSet::new();
 
         for (flow, route, priority) in requests {
             // The reference: a cold holistic analysis of the very trial
-            // set the sharded controller is about to decide on.
-            let mut trial: FlowSet = sharded.accepted().clone();
-            trial.add(flow.clone(), route.clone(), priority);
+            // set the controller is about to decide on.
+            let mut trial = expected.clone();
+            let id = trial.add(flow.clone(), route.clone(), priority);
+            expected.reserve_ids(1);
             let reference = analyze(&topology, &trial, &analysis).unwrap();
 
-            let w = submit(&mut sharded, flow.clone(), route.clone(), priority);
-            let c = submit(&mut cold, flow, route, priority);
-
-            // Decisions agree with each other and with the reference.
-            prop_assert_eq!(w.is_accepted(), c.is_accepted());
-            prop_assert_eq!(w.is_accepted(), reference.schedulable);
-            prop_assert_eq!(w.id(), c.id());
-
-            // Bounds, verdicts and failure attribution are byte-identical
+            let d = submit(&mut ctl, flow, route, priority);
+            prop_assert_eq!(d.id(), id);
+            // Verdict, reason, victim and every bound match the reference
             // (iteration traces aside), partial reports of non-converged
-            // trials included.  The sharded report covers the candidate's
-            // shard; every entry it carries must equal the global
-            // reference's entry bytewise.
-            for flow_report in &w.report().flows {
-                prop_assert_eq!(Some(flow_report), reference.flow(flow_report.flow));
-            }
-            prop_assert_eq!(w.report().schedulable, reference.schedulable);
-            prop_assert_eq!(&w.report().failure, &reference.failure);
-            prop_assert_eq!(w.report().converged, reference.converged);
-            prop_assert_eq!(&c.report().flows, &reference.flows);
-
-            // The structured rejection metadata agrees too.
-            match (&w, &c) {
-                (
-                    gmfnet::analysis::AdmissionDecision::Rejected { victim: vw, reason: rw, .. },
-                    gmfnet::analysis::AdmissionDecision::Rejected { victim: vc, reason: rc, .. },
-                ) => {
-                    prop_assert_eq!(vw, vc);
-                    prop_assert_eq!(rw, rc);
-                }
-                (a, b) => prop_assert_eq!(a.is_accepted(), b.is_accepted()),
+            // trials included.
+            assert_matches_reference(&d, &reference, &format!("seed {seed}"));
+            if d.is_accepted() {
+                expected = trial;
             }
         }
-        prop_assert_eq!(sharded.accepted(), cold.accepted());
+        prop_assert_eq!(ctl.accepted(), &expected);
     }
 
     /// (b) Release followed by re-admission restores identical reports.
@@ -221,10 +201,6 @@ fn warm_trials_after_departures_match_cold_analysis() {
         trial.add(flow.clone(), route.clone(), priority);
         let reference = analyze(&topology, &trial, &analysis).unwrap();
         let d = submit(&mut ctl, flow, route, priority);
-        assert_eq!(d.is_accepted(), reference.schedulable);
-        for flow_report in &d.report().flows {
-            assert_eq!(Some(flow_report), reference.flow(flow_report.flow));
-        }
-        assert_eq!(d.report().failure, reference.failure);
+        assert_matches_reference(&d, &reference, "after departures");
     }
 }

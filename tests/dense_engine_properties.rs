@@ -16,6 +16,8 @@
 //! (b) on churn-style suffixes (a departure-reshaped set), the dense
 //!     engine still matches the reference, pinning the id-sparse case.
 
+mod common;
+
 use gmfnet::analysis::{
     analyze_reference, iterate_from, AnalysisConfig, AnalysisContext, JitterMap,
 };
@@ -84,38 +86,32 @@ proptest! {
     }
 }
 
-/// Round skipping must also be invisible through the sharded admission
-/// path: a sharded controller takes byte-identical decisions to a cold
-/// controller that re-analyses the whole accepted set per request.
+/// Round skipping must also be invisible through admission: every
+/// decision equals what a global analysis of accepted ∪ {candidate}
+/// implies, bound for bound.
 #[test]
 fn skipping_is_invisible_through_warm_admission() {
-    use gmfnet::analysis::{AdmissionController, AdmissionMode, AdmissionRequest};
+    use gmfnet::analysis::{analyze, AdmissionController, AdmissionRequest};
     let (topology, set) = sweep_set(20_080_511, 8, 0.5);
-    let mut sharded = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Sharded);
-    let mut cold =
-        AdmissionController::new(topology, AnalysisConfig::paper()).with_mode(AdmissionMode::Cold);
+    let config = AnalysisConfig::paper();
+    let mut ctl = AdmissionController::new(topology.clone(), config);
     for binding in set.bindings() {
+        let mut trial = ctl.accepted().clone();
+        trial.add(
+            binding.flow.clone(),
+            binding.route.clone(),
+            binding.priority,
+        );
+        let reference = analyze(&topology, &trial, &config).unwrap();
         let request = AdmissionRequest::new(
             binding.flow.clone(),
             binding.route.clone(),
             binding.priority,
         );
-        let w = sharded
-            .request_batch([request.clone()])
-            .unwrap()
-            .pop()
-            .unwrap();
-        let c = cold.request_batch([request]).unwrap().pop().unwrap();
-        assert_eq!(w.is_accepted(), c.is_accepted());
-        // Sharded reports are shard-scoped; each entry matches the cold
-        // (global) report's entry for the same flow bytewise.
-        for flow_report in &w.report().flows {
-            assert_eq!(Some(flow_report), c.report().flow(flow_report.flow));
+        let d = ctl.request_batch([request]).unwrap().pop().unwrap();
+        common::assert_matches_reference(&d, &reference, "sweep set");
+        if d.is_accepted() {
+            assert_eq!(ctl.accepted(), &trial);
         }
-        assert_eq!(w.report().failure, c.report().failure);
-        // A shard's solve is a subset of the global solve's work.
-        assert!(w.cost().flow_analyses <= c.cost().flow_analyses);
     }
-    assert_eq!(sharded.accepted(), cold.accepted());
 }

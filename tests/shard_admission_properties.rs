@@ -1,17 +1,18 @@
 //! Property tests of the sharded admission plane: batched, shard-parallel
-//! admission must be *decision-for-decision byte-identical* to a
-//! sequential cold controller that re-analyses the whole accepted set per
-//! request — across worker threads and arrival/departure (churn) orders —
+//! admission must be *decision-for-decision byte-identical* to the
+//! sequential protocol — a global analysis of *accepted ∪ {candidate}* per
+//! request — across worker threads and arrival/departure (churn) orders,
 //! and the partition layer must track shard merges and splits exactly.
 //!
 //! The comparisons pin the tentpole claims of the sharded plane:
 //!
 //! (a) accept/reject verdicts, rejection reasons and victim attributions
-//!     are identical; sharded (shard-scoped) trial reports are bytewise
-//!     projections of the cold (global) reports; every report the sharded
-//!     controller caches equals a cold analysis of its accepted set after
-//!     every batch and release; the final accepted sets are equal; and the
-//!     final bounds also equal the deliberately simple
+//!     are what the reference implies; shard-scoped trial reports are
+//!     bytewise projections of the global reference reports; every report
+//!     the controller caches equals a cold analysis of its accepted set
+//!     after every batch and release; the final accepted set is the one
+//!     the references imply; and the final bounds also equal the
+//!     deliberately simple
 //!     [`gmfnet::analysis::analyze_reference`] oracle, which shares no
 //!     hot-path code with the production engine;
 //! (b) an accepted bridge merges every shard its route touches
@@ -19,9 +20,12 @@
 //!     a departure splits the shard back — always agreeing with a
 //!     from-scratch [`DependencyGraph`] rebuild.
 
+mod common;
+
+use common::assert_matches_reference;
 use gmfnet::analysis::{
-    analyze, analyze_reference, AdmissionController, AdmissionDecision, AdmissionMode,
-    AdmissionRequest, AnalysisConfig, DependencyGraph,
+    analyze, analyze_reference, AdmissionController, AdmissionRequest, AnalysisConfig,
+    DependencyGraph,
 };
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
@@ -29,41 +33,6 @@ use proptest::prelude::*;
 
 fn sweep_set(seed: u64, n_flows: usize, utilization: f64) -> (Topology, FlowSet) {
     random_sweep_set(seed, n_flows, utilization, &SweepConfig::default())
-}
-
-/// Assert one batched-sharded decision equals its sequential-cold
-/// counterpart: same verdict, same id, same reason and victim, and the
-/// sharded (shard-scoped) report is a bytewise projection of the cold
-/// (global) one.
-fn assert_decisions_match(sharded: &AdmissionDecision, cold: &AdmissionDecision, context: &str) {
-    assert_eq!(sharded.is_accepted(), cold.is_accepted(), "{context}");
-    assert_eq!(sharded.id(), cold.id(), "{context}");
-    match (sharded, cold) {
-        (
-            AdmissionDecision::Rejected {
-                reason: sharded_reason,
-                victim: sharded_victim,
-                ..
-            },
-            AdmissionDecision::Rejected {
-                reason: cold_reason,
-                victim: cold_victim,
-                ..
-            },
-        ) => {
-            assert_eq!(sharded_reason, cold_reason, "{context}");
-            assert_eq!(sharded_victim, cold_victim, "{context}");
-        }
-        (AdmissionDecision::Accepted { .. }, AdmissionDecision::Accepted { .. }) => {}
-        _ => unreachable!("verdicts already compared"),
-    }
-    for flow_report in &sharded.report().flows {
-        assert_eq!(
-            Some(flow_report),
-            cold.report().flow(flow_report.flow),
-            "{context}: sharded report must project out of the cold global report"
-        );
-    }
 }
 
 /// Assert every report `ctl` caches equals the same flow's report in a
@@ -87,8 +56,8 @@ fn assert_cache_matches_cold(ctl: &AdmissionController, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Batched shard-parallel admission == sequential global cold
-    /// admission, across threads, through a churn step.
+    /// (a) Batched shard-parallel admission == the sequential global
+    /// protocol, across threads, through a churn step.
     #[test]
     fn batched_warm_admission_matches_sequential_cold(
         seed in 0u64..1_000_000,
@@ -100,10 +69,10 @@ proptest! {
         let (topology, set) = sweep_set(seed, n_flows, utilization);
         for threads in [1usize, 4] {
             let config = AnalysisConfig::paper().with_threads(threads);
-            let mut sharded = AdmissionController::new(topology.clone(), config)
-                .with_mode(AdmissionMode::Sharded);
-            let mut cold = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-                .with_mode(AdmissionMode::Cold);
+            let mut sharded = AdmissionController::new(topology.clone(), config);
+            // The accepted set the references imply, consuming one id per
+            // request like the controller does.
+            let mut expected = FlowSet::new();
 
             let bindings = set.bindings();
             let (first, second) = bindings.split_at(bindings.len() / 2);
@@ -120,18 +89,27 @@ proptest! {
                         })
                         .collect();
                     let sharded_decisions = sharded.request_batch(requests.clone()).unwrap();
-                    // The cold oracle takes the same requests one at a
-                    // time — the semantics request_batch must preserve.
-                    for (request, sharded_decision) in
-                        requests.into_iter().zip(&sharded_decisions)
-                    {
-                        let cold_decision =
-                            cold.request_batch([request]).unwrap().pop().unwrap();
-                        assert_decisions_match(
-                            sharded_decision,
-                            &cold_decision,
+                    // The reference takes the same requests one at a time —
+                    // the semantics request_batch must preserve.
+                    for (request, decision) in requests.into_iter().zip(&sharded_decisions) {
+                        let mut trial = expected.clone();
+                        let id = trial.add(
+                            request.flow().clone(),
+                            request.route().clone(),
+                            request.priority(),
+                        );
+                        expected.reserve_ids(1);
+                        let reference =
+                            analyze(&topology, &trial, &AnalysisConfig::paper()).unwrap();
+                        assert_eq!(decision.id(), id, "threads {threads}");
+                        assert_matches_reference(
+                            decision,
+                            &reference,
                             &format!("threads {threads}"),
                         );
+                        if decision.is_accepted() {
+                            expected = trial;
+                        }
                     }
                     assert_cache_matches_cold(&sharded, &format!("threads {threads}, batch"));
                 }
@@ -142,7 +120,7 @@ proptest! {
                     if !ids.is_empty() {
                         let departing = ids[drop_index % ids.len()];
                         sharded.release(departing).unwrap();
-                        cold.release(departing).unwrap();
+                        expected.remove(departing).unwrap();
                         assert_cache_matches_cold(
                             &sharded,
                             &format!("threads {threads}, release"),
@@ -151,7 +129,7 @@ proptest! {
                 }
             }
 
-            prop_assert_eq!(sharded.accepted(), cold.accepted());
+            prop_assert_eq!(sharded.accepted(), &expected);
             prop_assert_eq!(sharded.partition(), &DependencyGraph::new(sharded.accepted()));
 
             // Independent final oracle: the reference engine (keyed,
@@ -190,8 +168,7 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
         )
     };
     let (topology, _, hosts) = star(6, LinkProfile::ethernet_100m(), SwitchConfig::paper());
-    let mut ctl = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Sharded);
+    let mut ctl = AdmissionController::new(topology.clone(), AnalysisConfig::paper());
 
     // Two link-disjoint flows: two singleton shards.
     let r01 = shortest_path(&topology, hosts[0], hosts[1]).unwrap();
@@ -253,22 +230,18 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
     assert_eq!(ctl.partition().shard_of(b), Some(ShardId(b)));
     assert_eq!(ctl.partition(), &DependencyGraph::new(ctl.accepted()));
 
-    // The post-split controller still decides identically to a cold one.
+    // The post-split controller still decides exactly as a global analysis
+    // of accepted ∪ {candidate} implies.
     let r45 = shortest_path(&topology, hosts[4], hosts[5]).unwrap();
-    let mut cold = AdmissionController::with_accepted(
-        topology,
-        ctl.accepted().clone(),
-        AnalysisConfig::paper(),
-    )
-    .unwrap()
-    .0
-    .with_mode(AdmissionMode::Cold);
+    let mut trial = ctl.accepted().clone();
+    let id = trial.add(probe("c", 10.0), r45.clone(), Priority(3));
+    let reference = analyze(&topology, &trial, &AnalysisConfig::paper()).unwrap();
     let request = AdmissionRequest::new(probe("c", 10.0), r45, Priority(3));
-    let w = ctl.request_batch([request.clone()]).unwrap().pop().unwrap();
-    let c = cold.request_batch([request]).unwrap().pop().unwrap();
-    assert_eq!(w.is_accepted(), c.is_accepted());
-    assert_eq!(w.id(), c.id());
-    assert_eq!(ctl.accepted(), cold.accepted());
+    let d = ctl.request_batch([request]).unwrap().pop().unwrap();
+    assert_eq!(d.id(), id);
+    assert_matches_reference(&d, &reference, "after the split");
+    assert!(d.is_accepted());
+    assert_eq!(ctl.accepted(), &trial);
 }
 
 /// Topology-mutation edge case: cut a trunk of a ring workload, drive the
