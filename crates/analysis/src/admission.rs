@@ -101,8 +101,8 @@ pub struct DecisionCost {
     /// Holistic rounds of the trial's solve.
     pub rounds: usize,
     /// Per-flow pipeline analyses of the trial's solve (≈ rounds × trial
-    /// flows, fewer when round skipping reuses an analysis) — the metric
-    /// that shrinks when sharding limits the trial set.
+    /// flows, fewer when every stage of a flow reuses its memoised solve)
+    /// — the metric that shrinks when sharding limits the trial set.
     pub flow_analyses: usize,
     /// Always `false`: trials are cold solves.  The field stays so
     /// serialized decisions and the benchmark harness that reads it keep
@@ -643,30 +643,36 @@ impl AdmissionController {
         Ok(())
     }
 
-    /// Process one lane: its requests in submission order, against a
-    /// lane-local accepted subset and partition that roll forward across
-    /// the lane's acceptances.
+    /// Process one lane: its requests in submission order.  Until the
+    /// lane's first acceptance every trial is cut straight from the
+    /// controller's accepted set and partition; from an acceptance with
+    /// requests still to decide, the lane rolls a local accepted subset and
+    /// partition forward.  A one-request lane therefore copies its trial
+    /// set once and builds no partition.
     fn run_lane(
         &self,
         lane: &LaneInput,
         bindings: &[FlowBinding],
         config: &AnalysisConfig,
     ) -> LaneOutput {
-        let mut lane_set = self.accepted.subset(lane.members.iter().copied());
-        let mut lane_partition = DependencyGraph::new(&lane_set);
+        let mut rolled: Option<(FlowSet, DependencyGraph)> = None;
         let mut out = LaneOutput {
             decisions: Vec::with_capacity(lane.indices.len()),
             commits: Vec::new(),
             reports: Vec::new(),
             error: None,
         };
-        for &index in &lane.indices {
+        for (position, &index) in lane.indices.iter().enumerate() {
             let binding = &bindings[index];
             // The candidate's trial set: the union of the shards its
-            // route touches (within the lane's rolled-forward state),
-            // plus the candidate itself.
-            let touched = lane_partition.shards_touching_route(&binding.route);
-            let mut trial = lane_set.subset(lane_partition.members_of(&touched));
+            // route touches (within the lane's current state), plus the
+            // candidate itself.
+            let (accepted, partition) = match &rolled {
+                Some((lane_set, lane_partition)) => (lane_set, lane_partition),
+                None => (&self.accepted, &self.partition),
+            };
+            let touched = partition.shards_touching_route(&binding.route);
+            let mut trial = accepted.subset(partition.members_of(&touched));
             let decision = trial
                 .insert(binding.clone())
                 .map_err(AnalysisError::Net)
@@ -680,11 +686,18 @@ impl AdmissionController {
             };
             if decision.is_accepted() {
                 out.reports.extend(decision.report().flows.iter().cloned());
-                lane_partition.insert(binding);
-                lane_set
-                    .insert(binding.clone())
-                    // tidy-allow: unwrap invariant: batch ids are reserved and unique
-                    .expect("batch ids are reserved and unique");
+                if position + 1 < lane.indices.len() {
+                    let (lane_set, lane_partition) = rolled.get_or_insert_with(|| {
+                        let lane_set = self.accepted.subset(lane.members.iter().copied());
+                        let lane_partition = DependencyGraph::new(&lane_set);
+                        (lane_set, lane_partition)
+                    });
+                    lane_partition.insert(binding);
+                    lane_set
+                        .insert(binding.clone())
+                        // tidy-allow: unwrap invariant: batch ids are reserved and unique
+                        .expect("batch ids are reserved and unique");
+                }
                 out.commits.push((index, binding.clone()));
             }
             out.decisions.push((index, decision));

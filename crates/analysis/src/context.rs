@@ -3,8 +3,9 @@
 //!
 //! The response-time equations repeatedly evaluate the request-bound
 //! functions of every flow on every link it traverses, so the per-link
-//! [`LinkDemand`]s are computed once per `(flow, link)` pair and cached in
-//! an [`AnalysisContext`].
+//! [`LinkDemand`]s are computed once per flow and distinct link speed on
+//! its route (a demand depends on the link only through its speed) and
+//! cached in an [`AnalysisContext`].
 //!
 //! The *generalized-jitter map* holds `GJ_i^{k,resource}` — the jitter of
 //! frame `k` of flow `i` when it reaches `resource` — for every resource of
@@ -245,11 +246,11 @@ impl JitterMap {
 /// topology and flow set.
 ///
 /// The context is read-only during a single holistic round; the jitter map
-/// is threaded separately so that rounds are explicit.  Besides the keyed
-/// demand cache of the public API, construction interns flows and
-/// resources into dense indices and precomputes every flow's per-stage
-/// interference tables (see [`crate::dense`]) — the engine's hot loops
-/// never touch a tree map or rescan the flow set.
+/// is threaded separately so that rounds are explicit.  Construction
+/// interns flows into dense indices, compiles one demand per flow and
+/// distinct link speed on its route, and precomputes every flow's
+/// per-stage interference tables (see [`crate::dense`]) — the engine's hot
+/// loops never touch a tree map or rescan the flow set.
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'a> {
     topology: &'a Topology,
@@ -259,28 +260,28 @@ pub struct AnalysisContext<'a> {
     /// Precompiled prefix-maximum tables, parallel to `demands` (same
     /// index space) — the only demand view the per-frame kernels touch.
     tables: Vec<DemandTable>,
-    /// Keyed view of `demands` backing the public [`Self::demand`] API.
-    demand_lookup: BTreeMap<(FlowId, NodeId, NodeId), u32>,
     /// The interner and interference tables.
     plan: crate::dense::DensePlan,
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Build the context: pre-compute the demand of every flow on every
-    /// link of its route, intern flows and resources, lay out the jitter
-    /// arena and build the per-stage interference tables.
+    /// Build the context: validate every route against the topology,
+    /// pre-compute each flow's demand once per distinct link speed on its
+    /// route, lay out the jitter arena and build the per-stage
+    /// interference tables.
+    ///
+    /// A route with fewer than two nodes, a revisited or unknown node, a
+    /// missing link or a non-switch intermediate node is an
+    /// [`AnalysisError::Net`].
     pub fn new(topology: &'a Topology, flows: &'a FlowSet) -> Result<Self, AnalysisError> {
         let mut demands = Vec::new();
-        let mut demand_lookup = BTreeMap::new();
-        let plan =
-            crate::dense::DensePlan::build(topology, flows, &mut demands, &mut demand_lookup)?;
+        let plan = crate::dense::DensePlan::build(topology, flows, &mut demands)?;
         let tables = demands.iter().map(DemandTable::new).collect();
         Ok(AnalysisContext {
             topology,
             flows,
             demands,
             tables,
-            demand_lookup,
             plan,
         })
     }
@@ -333,15 +334,26 @@ impl<'a> AnalysisContext<'a> {
         Ok(&self.flows.get(id)?.flow)
     }
 
-    /// The cached demand of `flow` on the directed link `from → to`.
+    /// The cached demand of `flow` on the directed link `from → to`
+    /// (hops over links of equal speed share one demand).
     ///
     /// The demand exists for every hop of every flow's route; asking for a
     /// (flow, link) pair the flow does not traverse is a programming error
     /// and panics.
     pub fn demand(&self, flow: FlowId, from: NodeId, to: NodeId) -> &LinkDemand {
-        self.demand_lookup
-            .get(&(flow, from, to))
-            .map(|&index| &self.demands[crate::index::ux(index)])
+        let bindings = self.flows.bindings();
+        bindings
+            .binary_search_by_key(&flow, |b| b.id)
+            .ok()
+            .and_then(|index| {
+                let hop = bindings[index]
+                    .route
+                    .nodes()
+                    .windows(2)
+                    .position(|link| link[0] == from && link[1] == to)?;
+                let first_hop = crate::index::ux(self.plan.flows[index].first_hop);
+                Some(self.demand_by_index(self.plan.hop_demands[first_hop + hop]))
+            })
             .unwrap_or_else(|| panic!("no cached demand for {flow} on link({},{})", from.0, to.0))
     }
 
@@ -501,6 +513,35 @@ mod tests {
         assert_eq!(ctx.flows().len(), 2);
         assert_eq!(ctx.flow(FlowId(0)).unwrap().n_frames(), 9);
         assert_eq!(ctx.topology().n_nodes(), t.n_nodes());
+    }
+
+    #[test]
+    fn equal_speed_hops_share_one_table() {
+        use gmf_net::{LinkProfile, Route, SwitchConfig};
+        let mut t = Topology::new();
+        let a = t.add_end_host("a");
+        let s = t.add_switch(SwitchConfig::paper(), "s");
+        let b = t.add_end_host("b");
+        t.add_duplex_link(a, s, LinkProfile::ethernet_100m())
+            .unwrap();
+        t.add_duplex_link(s, b, LinkProfile::ethernet_100m())
+            .unwrap();
+        let mut fs = FlowSet::new();
+        let voice = cbr_flow(
+            "voice",
+            160,
+            Time::from_millis(20.0),
+            Time::from_millis(20.0),
+            Time::ZERO,
+        );
+        fs.add(voice, Route::new(&t, vec![a, s, b]).unwrap(), Priority(7));
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        let (tables, _, _) = ctx.kernel_stats();
+        assert_eq!(tables, 1);
+        assert!(std::ptr::eq(
+            ctx.demand(FlowId(0), a, s),
+            ctx.demand(FlowId(0), s, b)
+        ));
     }
 
     #[test]

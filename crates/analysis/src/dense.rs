@@ -3,27 +3,42 @@
 //! The keyed view of the analysis state — [`JitterMap`] keyed by
 //! `(FlowId, ResourceId)`, [`crate::context::AnalysisContext::demand`]
 //! keyed by `(FlowId, NodeId, NodeId)`, `FlowSet::flows_on_link` rescanning
-//! every route — is the right interface at the boundary (seeds, caches,
-//! reports, serde), but tree-map probes and fresh `Vec` allocations in the
+//! every route — is the right interface at the boundary (seeds, reports,
+//! serde), but tree-map probes and fresh `Vec` allocations in the
 //! busy-period recurrences dominate the cost of a holistic round.  This
-//! module interns everything once per analysis:
+//! module interns everything once per analysis, from index arithmetic and
+//! one sort — no tree map:
 //!
-//! * **Flow and resource interner** — flows get dense indices (their
-//!   position in the id-sorted binding list), resources get dense indices
-//!   in a sorted table, and every `(flow, resource-on-its-route)` pair gets
-//!   a *pair id* addressing a contiguous `n_frames` range of a flat arena.
+//! * **Flow interner and pair layout** — flows get dense indices (their
+//!   position in the id-sorted binding list).  Every stage of a flow's
+//!   Figure 6 walk gets a *pair id*: a flow's pairs are contiguous, one per
+//!   stage in walk order (`2·hops − 1` of them), each addressing an
+//!   `n_frames` range of a flat arena.  An interferer at hop `h` of its
+//!   route holds its link jitter at its stage `2h` (`0` for its first hop)
+//!   and its ingress jitter at the far switch at stage `2h + 1`, so every
+//!   pair lookup is arithmetic.
+//! * **Shared demands** — a [`LinkDemand`] depends on its link only
+//!   through the link speed, so each flow compiles one demand (and the
+//!   context one [`gmf_model::DemandTable`]) per distinct speed on its
+//!   route; every hop points at the shared index.  A metro flow crossing
+//!   two equal-speed access links compiles one table, not two.
+//! * **Link index** — every hop's `(link, flow, hop)` entry sorted by link
+//!   then flow index, so each link's interferers are one contiguous group
+//!   in id order, the order `flows_on_link` yields.
 //! * **[`DenseJitters`]** — the generalized-jitter state as one `Vec<Time>`
-//!   arena plus a per-pair running max cache, replacing the `BTreeMap`
-//!   probes of [`JitterMap::get`] / [`JitterMap::max_jitter`] with slot
-//!   reads.
-//! * **Interference tables** — per flow, per stage of its Figure 6 walk:
-//!   the interferer list of the stage's underlying link with each
-//!   interferer's demand index, jitter pair id and static blocking term,
-//!   plus the precomputed utilization of the stage's overload check.  Stage
-//!   code iterates a cached slice instead of calling `flows_on_link` /
-//!   `hep` and probing demand maps inside fixed-point closures.
+//!   arena plus a per-pair max cache, replacing the `BTreeMap` probes of
+//!   [`JitterMap::get`] / [`JitterMap::max_jitter`] with slot reads.
+//! * **Interference tables** — per flow, per stage: the interferer list of
+//!   the stage's underlying link with each interferer's demand index,
+//!   jitter pair id and static blocking term, plus the precomputed
+//!   utilization of the stage's overload check.  Stage code iterates a
+//!   cached slice instead of calling `flows_on_link` / `hep` and probing
+//!   demand maps inside fixed-point closures.
 //!
-//! The plan is immutable for the lifetime of its
+//! The build also checks every route on the way (at least two nodes, no
+//! revisited or unknown node, existing links, switches in the middle), so
+//! no entry point reaches the kernels with a broken route.  The plan is
+//! immutable for the lifetime of its
 //! [`crate::context::AnalysisContext`]; the engine converts the keyed seed
 //! to dense form once per run ([`DenseJitters::from_keyed`]).
 //! Every value it stores or computes is obtained by the same arithmetic, in
@@ -34,29 +49,13 @@
 use crate::context::{JitterMap, ResourceId};
 use crate::error::{AnalysisError, StageKind};
 use crate::index::{cx, ux};
-use gmf_model::{FlowId, LinkDemand, Time};
-use gmf_net::{FlowSet, NodeId, Topology};
+use gmf_model::{BitRate, FlowId, LinkDemand, Time};
+use gmf_net::{FlowSet, NetError, NodeId, Topology};
 
 /// Sentinel pair id for an interferer that never accumulates jitter at the
 /// stage's resource (a flow terminating at the switch whose ingress is
 /// analysed): its stored jitter is identically zero.
 pub(crate) const NO_PAIR: u32 = u32::MAX;
-
-/// One interfering flow at one stage, fully resolved to dense indices.
-#[derive(Debug, Clone)]
-pub(crate) struct Interferer {
-    /// Index of the interferer's demand on the stage's underlying link.
-    pub demand: u32,
-    /// Pair id of the interferer's jitter at the stage's resource, or
-    /// [`NO_PAIR`] when the interferer stores no jitter there.
-    pub pair: u32,
-    /// The interferer's largest single-frame transmission time on the
-    /// link — the first-hop blocking refinement widens the interference
-    /// window by this much (zero for the flow under analysis).
-    pub blocking_c: Time,
-    /// `true` when the interferer is the flow under analysis itself.
-    pub is_self: bool,
-}
 
 /// One interference term precompiled for the per-frame kernels: the
 /// interferer's demand-table index, its jitter pair and the static
@@ -118,29 +117,22 @@ pub(crate) struct FlowPlan {
     pub id: FlowId,
     /// Number of frames in the flow's GMF cycle.
     pub n_frames: usize,
-    /// Pair id of the flow's first-link jitter (seeded with the source
-    /// jitter by the initial map).
-    pub first_link_pair: u32,
     /// The Figure 6 stages in route order: first hop, then per switch the
     /// ingress stage and the egress link.
     pub stages: Vec<StagePlan>,
-    /// Sorted, deduplicated pair ids this flow's analysis reads (the
-    /// jitters of every interferer at every stage, including the flow's
-    /// own).  Two iterates that agree on these slots yield byte-identical
-    /// analyses of the flow — the round-skipping rule of the fixed-point
-    /// engine.
-    pub input_pairs: Vec<u32>,
+    /// Index into [`DensePlan::hop_demands`] of the flow's first hop; its
+    /// route's hops follow contiguously.
+    pub first_hop: u32,
+    /// The flow's contiguous range of [`DensePlan::terms`] (every stage's
+    /// `all_terms` and `other_terms`).
+    pub terms: std::ops::Range<u32>,
 }
 
 /// The per-analysis interner and interference tables (see module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct DensePlan {
-    /// All distinct resources of all flows' walks, sorted.
-    pub resources: Vec<ResourceId>,
     /// One plan per flow, in binding (id) order.
     pub flows: Vec<FlowPlan>,
-    /// Pair id → resource index (into `resources`).
-    pub pair_resource: Vec<u32>,
     /// Pair id → first arena slot of its `n_frames` range.
     pub pair_base: Vec<u32>,
     /// Pair id → number of frames (range length).
@@ -150,275 +142,239 @@ pub(crate) struct DensePlan {
     /// Flat arena of precompiled interference terms; stage plans address
     /// it through their `all_terms` / `other_terms` ranges.
     pub terms: Vec<TermSpec>,
+    /// Demand index of every hop of every route, flow after flow (see
+    /// [`FlowPlan::first_hop`]).  Hops of one flow over links of equal
+    /// speed share one demand.
+    pub hop_demands: Vec<u32>,
 }
 
 impl DensePlan {
-    /// Intern `flows` against `topology`: number the resources, lay out the
-    /// jitter arena and build every flow's interference tables.  `demands`
-    /// receives the per-(flow, link) demands in discovery order; stage
-    /// plans reference them by index.
+    /// Intern `flows` against `topology`: compile one demand per (flow,
+    /// distinct link speed on its route) into `demands`, lay out the jitter
+    /// arena and build every flow's interference tables.
+    ///
+    /// Every route is checked on the way: a route with fewer than two
+    /// nodes, a revisited or unknown node, a missing link or a non-switch
+    /// intermediate is an [`AnalysisError::Net`].
     pub fn build(
         topology: &Topology,
         flows: &FlowSet,
         demands: &mut Vec<LinkDemand>,
-        demand_lookup: &mut std::collections::BTreeMap<(FlowId, NodeId, NodeId), u32>,
     ) -> Result<DensePlan, AnalysisError> {
-        use std::collections::BTreeMap;
-
         let bindings = flows.bindings();
-        let link_index = flows.link_index();
 
-        // Demands: one per (flow, hop-of-its-route), discovered in binding
-        // order (identical coverage to the keyed context).
-        for binding in bindings {
-            for hop in binding.route.hops() {
-                let link = topology.link_between(hop.from, hop.to)?;
-                let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, link.speed);
-                demand_lookup.insert(
-                    (binding.id, hop.from, hop.to),
-                    // tidy-allow: unwrap invariant: demand count fits u32
-                    u32::try_from(demands.len()).expect("demand count fits u32"),
-                );
-                demands.push(demand);
+        // Pass 1 — the hop walk: validate each route, compile its demands
+        // (one per distinct speed) and record every hop's link.  Global hop
+        // `g` of flow `f` is `first_hop[f] + h`.
+        let mut seen = vec![usize::MAX; topology.n_nodes()];
+        let mut first_hop: Vec<u32> = Vec::with_capacity(bindings.len());
+        let mut hop_demands: Vec<u32> = Vec::new();
+        let mut hop_propagation: Vec<Time> = Vec::new();
+        // `(from, to, flow index, hop index)` of every hop.
+        let mut links: Vec<(NodeId, NodeId, u32, u32)> = Vec::new();
+        let mut speeds: Vec<(BitRate, u32)> = Vec::new();
+        for (flow_idx, binding) in bindings.iter().enumerate() {
+            let nodes = binding.route.nodes();
+            if nodes.len() < 2 {
+                return Err(AnalysisError::Net(NetError::RouteTooShort));
+            }
+            first_hop.push(cx(hop_demands.len()));
+            speeds.clear();
+            for (position, &node) in nodes.iter().enumerate() {
+                let stamp = seen
+                    .get_mut(node.0)
+                    .ok_or(AnalysisError::Net(NetError::UnknownNode(node)))?;
+                if *stamp == flow_idx {
+                    return Err(AnalysisError::Net(NetError::RouteRevisitsNode(node)));
+                }
+                *stamp = flow_idx;
+                let Some(hop) = position.checked_sub(1) else {
+                    continue;
+                };
+                let from = nodes[hop];
+                let link = topology.link_between(from, node)?;
+                let demand = match speeds.iter().find(|&&(speed, _)| speed == link.speed) {
+                    Some(&(_, demand)) => demand,
+                    None => {
+                        let demand = cx(demands.len());
+                        demands.push(LinkDemand::new(
+                            &binding.flow,
+                            &binding.encapsulation,
+                            link.speed,
+                        ));
+                        speeds.push((link.speed, demand));
+                        demand
+                    }
+                };
+                hop_demands.push(demand);
+                hop_propagation.push(link.propagation);
+                links.push((from, node, cx(flow_idx), cx(hop)));
             }
         }
-        let demand_of =
-            |flow: FlowId, from: NodeId, to: NodeId| -> u32 { demand_lookup[&(flow, from, to)] };
 
-        // The resource walk of every flow, in route order.  `walks[i]`
-        // aligns with `bindings[i]`.
-        let mut walks: Vec<Vec<(ResourceId, NodeId, NodeId)>> = Vec::with_capacity(bindings.len());
-        for binding in bindings {
-            let route = &binding.route;
-            let source = route.source();
-            let first_succ = route.successor(source)?;
-            let mut walk = vec![(
-                ResourceId::Link {
-                    from: source,
-                    to: first_succ,
-                },
-                source,
-                first_succ,
-            )];
-            for &switch in route.switches() {
-                let prec = route.predecessor(switch)?;
-                let succ = route.successor(switch)?;
-                walk.push((ResourceId::SwitchIngress { node: switch }, prec, switch));
-                walk.push((
-                    ResourceId::Link {
-                        from: switch,
-                        to: succ,
-                    },
-                    switch,
-                    succ,
-                ));
+        // The link index: hops sorted by link, then by flow index (= id
+        // order, the order `flows_on_link` yields), and for every global hop
+        // the range of its link's group.
+        links.sort_unstable();
+        let mut link_group: Vec<(u32, u32)> = vec![(0, 0); links.len()];
+        let mut start = 0;
+        while start < links.len() {
+            let (from, to, _, _) = links[start];
+            let end = start
+                + links[start..]
+                    .iter()
+                    .take_while(|&&(f, t, _, _)| f == from && t == to)
+                    .count();
+            for &(_, _, flow, hop) in &links[start..end] {
+                link_group[ux(first_hop[ux(flow)] + hop)] = (cx(start), cx(end));
             }
-            walks.push(walk);
+            start = end;
         }
 
-        // Resource interner.
-        let mut resources: Vec<ResourceId> = walks
-            .iter()
-            .flat_map(|walk| walk.iter().map(|&(resource, _, _)| resource))
-            .collect();
-        resources.sort_unstable();
-        resources.dedup();
-        let resource_of = |resource: ResourceId| -> u32 {
-            u32::try_from(
-                resources
-                    .binary_search(&resource)
-                    // tidy-allow: unwrap invariant: walk resources are interned
-                    .expect("walk resources are interned"),
-            )
-            // tidy-allow: unwrap invariant: resource count fits u32
-            .expect("resource count fits u32")
-        };
-
-        // Pair layout: one pair per (flow, resource-of-its-walk), arena
-        // ranges assigned in walk order.
-        let mut pair_resource = Vec::new();
+        // Pair layout: one pair per stage (`2·hops − 1` per flow), flow
+        // after flow, each with an `n_frames` arena range.
+        let mut pair_start: Vec<u32> = Vec::with_capacity(bindings.len());
         let mut pair_base = Vec::new();
         let mut pair_frames = Vec::new();
-        let mut pair_lookup: BTreeMap<(u32, u32), u32> = BTreeMap::new();
         let mut arena_len = 0u32;
-        for (flow_idx, (binding, walk)) in bindings.iter().zip(&walks).enumerate() {
-            // tidy-allow: unwrap invariant: frame count fits u32
-            let n_frames = u32::try_from(binding.flow.n_frames()).expect("frame count fits u32");
-            for &(resource, _, _) in walk {
-                // tidy-allow: unwrap invariant: pair count fits u32
-                let pair = u32::try_from(pair_resource.len()).expect("pair count fits u32");
-                let resource_idx = resource_of(resource);
-                pair_lookup.insert((cx(flow_idx), resource_idx), pair);
-                pair_resource.push(resource_idx);
+        for binding in bindings {
+            pair_start.push(cx(pair_base.len()));
+            let n_frames = cx(binding.flow.n_frames());
+            for _ in 0..2 * binding.route.n_hops() - 1 {
                 pair_base.push(arena_len);
                 pair_frames.push(n_frames);
                 arena_len += n_frames;
             }
         }
-        // Pair of `flow`'s jitter at `resource`, NO_PAIR when the flow
-        // never stores jitter there (reads are then identically zero).
-        let flow_idx_of: BTreeMap<FlowId, u32> = bindings
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.id, cx(i)))
-            .collect();
-        let pair_of = |flow: FlowId, resource: ResourceId| -> u32 {
-            resources
-                .binary_search(&resource)
-                .ok()
-                .and_then(|resource_idx| {
-                    pair_lookup
-                        .get(&(flow_idx_of[&flow], cx(resource_idx)))
-                        .copied()
-                })
-                .unwrap_or(NO_PAIR)
-        };
+        let hops_of = |flow: u32| cx(bindings[ux(flow)].route.n_hops());
 
-        // Per-flow stage plans with interference tables.
+        // Pass 2 — per-flow stage plans with interference tables.
         let mut flow_plans = Vec::with_capacity(bindings.len());
         let mut terms: Vec<TermSpec> = Vec::new();
-        for (binding, walk) in bindings.iter().zip(&walks) {
-            let mut stages = Vec::with_capacity(walk.len());
-            let mut input_pairs: Vec<u32> = Vec::new();
-            for &(resource, from, to) in walk {
-                let (stage, circ, propagation) = match resource {
-                    ResourceId::Link { .. } if from == binding.route.source() => (
-                        StageKind::FirstHop,
-                        Time::ZERO,
-                        topology.link_between(from, to)?.propagation,
-                    ),
-                    ResourceId::Link { .. } => (
-                        StageKind::EgressLink,
-                        topology.circ(from)?,
-                        topology.link_between(from, to)?.propagation,
-                    ),
-                    ResourceId::SwitchIngress { node } => {
-                        (StageKind::SwitchIngress, topology.circ(node)?, Time::ZERO)
+        for (flow_idx, binding) in bindings.iter().enumerate() {
+            let nodes = binding.route.nodes();
+            let n_hops = binding.route.n_hops();
+            let flow_terms_start = cx(terms.len());
+            let mut stages = Vec::with_capacity(2 * n_hops - 1);
+            let mut circ = Time::ZERO;
+            for position in 0..2 * n_hops - 1 {
+                // Stage 0 is the first hop; stage `2h − 1` the ingress of
+                // switch `nodes[h]` (fed by hop `h − 1`), stage `2h` its
+                // egress onto hop `h`.
+                let (stage, hop) = match position {
+                    0 => (StageKind::FirstHop, 0),
+                    p if p % 2 == 1 => (StageKind::SwitchIngress, (p - 1) / 2),
+                    p => (StageKind::EgressLink, p / 2),
+                };
+                let (from, to) = (nodes[hop], nodes[hop + 1]);
+                let global_hop = ux(first_hop[flow_idx]) + hop;
+                let (resource, propagation) = match stage {
+                    StageKind::SwitchIngress => {
+                        circ = topology.circ(to)?;
+                        (ResourceId::SwitchIngress { node: to }, Time::ZERO)
                     }
+                    _ => (ResourceId::Link { from, to }, hop_propagation[global_hop]),
+                };
+                let stage_circ = if stage == StageKind::FirstHop {
+                    Time::ZERO
+                } else {
+                    circ
                 };
 
-                // Interferer set and overload-check utilization, summed in
-                // the same id order as the keyed stage code.
-                let on_link = link_index.flows_on_link(from, to);
-                let mut interferers = Vec::new();
+                // Interferers in id order, with the overload-check
+                // utilization summed in that order as the keyed stage code
+                // does.  An interferer at hop `h_j` of its own route holds
+                // its link jitter at stage `2·h_j` (`0` for its first hop)
+                // and its ingress jitter at the far switch at `2·h_j + 1`,
+                // unless the far end is its destination.
+                let (group_start, group_end) = link_group[global_hop];
+                let all_start = cx(terms.len());
+                let mut self_term = None;
                 // tidy-allow: float utilization is a dimensionless ratio compared against 1.0, not a bound
                 let mut utilization = 0.0f64;
-                match stage {
-                    StageKind::FirstHop => {
-                        for &j in on_link {
-                            let demand = demand_of(j, from, to);
-                            utilization += demands[ux(demand)].utilization();
-                            let is_self = j == binding.id;
-                            interferers.push(Interferer {
-                                demand,
-                                pair: pair_of(j, resource),
-                                blocking_c: if is_self {
-                                    Time::ZERO
-                                } else {
-                                    demands[ux(demand)].max_c()
-                                },
-                                is_self,
-                            });
-                        }
+                for &(_, _, j, h_j) in &links[ux(group_start)..ux(group_end)] {
+                    let is_self = ux(j) == flow_idx;
+                    if stage == StageKind::EgressLink
+                        && (is_self || bindings[ux(j)].priority < binding.priority)
+                    {
+                        continue;
                     }
-                    StageKind::SwitchIngress => {
-                        for &j in on_link {
-                            let demand = demand_of(j, from, to);
-                            let d = &demands[ux(demand)];
+                    let demand = hop_demands[ux(first_hop[ux(j)] + h_j)];
+                    let d = &demands[ux(demand)];
+                    let pair = match stage {
+                        StageKind::SwitchIngress if h_j + 1 == hops_of(j) => NO_PAIR,
+                        StageKind::SwitchIngress => pair_start[ux(j)] + 2 * h_j + 1,
+                        _ => pair_start[ux(j)] + 2 * h_j,
+                    };
+                    let blocking_c = match stage {
+                        StageKind::FirstHop => {
+                            utilization += d.utilization();
+                            if is_self {
+                                Time::ZERO
+                            } else {
+                                d.max_c()
+                            }
+                        }
+                        StageKind::SwitchIngress => {
                             // tidy-allow: float, cast round-count to ratio conversion for the overload check only
                             utilization += d.nsum() as f64 * circ.as_secs() / d.tsum().as_secs();
-                            interferers.push(Interferer {
-                                demand,
-                                pair: pair_of(j, resource),
-                                blocking_c: Time::ZERO,
-                                is_self: j == binding.id,
-                            });
+                            Time::ZERO
                         }
-                    }
-                    StageKind::EgressLink => {
-                        for &j in on_link {
-                            if j == binding.id {
-                                continue;
-                            }
-                            let other = flows.get(j).map_err(AnalysisError::Net)?;
-                            if other.priority < binding.priority {
-                                continue;
-                            }
-                            let demand = demand_of(j, from, to);
-                            let d = &demands[ux(demand)];
+                        StageKind::EgressLink => {
                             // tidy-allow: float, cast round-count to ratio conversion for the overload check only
                             utilization += (d.csum().as_secs() + d.nsum() as f64 * circ.as_secs())
                                 / d.tsum().as_secs();
-                            interferers.push(Interferer {
-                                demand,
-                                pair: pair_of(j, resource),
-                                blocking_c: Time::ZERO,
-                                is_self: false,
-                            });
+                            Time::ZERO
                         }
+                    };
+                    if is_self {
+                        self_term = Some(terms.len());
                     }
+                    terms.push(TermSpec {
+                        table: demand,
+                        pair,
+                        blocking_c,
+                    });
                 }
-                input_pairs.extend(
-                    interferers
-                        .iter()
-                        .map(|i| i.pair)
-                        .filter(|&pair| pair != NO_PAIR),
-                );
-                // Precompile the kernel term slices: all interferers, then
-                // (for stages whose w(q) recurrence drops self) the
-                // non-self subset, both preserving id order.
-                // tidy-allow: unwrap invariant: term count fits u32
-                let all_start = u32::try_from(terms.len()).expect("term count fits u32");
-                terms.extend(interferers.iter().map(|i| TermSpec {
-                    table: i.demand,
-                    pair: i.pair,
-                    blocking_c: i.blocking_c,
-                }));
-                // tidy-allow: unwrap invariant: term count fits u32
-                let all_end = u32::try_from(terms.len()).expect("term count fits u32");
-                let other_terms = if interferers.iter().any(|i| i.is_self) {
-                    terms.extend(interferers.iter().filter(|i| !i.is_self).map(|i| TermSpec {
-                        table: i.demand,
-                        pair: i.pair,
-                        blocking_c: i.blocking_c,
-                    }));
-                    // tidy-allow: unwrap invariant: term count fits u32
-                    let other_end = u32::try_from(terms.len()).expect("term count fits u32");
-                    all_end..other_end
-                } else {
-                    all_start..all_end
+                let all_end = cx(terms.len());
+                // The `w(q)` walks drop the flow's own term (first hop and
+                // ingress); egress tables never hold it, so one slice serves.
+                let other_terms = match self_term {
+                    Some(own) => {
+                        terms.extend_from_within(ux(all_start)..own);
+                        terms.extend_from_within(own + 1..ux(all_end));
+                        all_end..cx(terms.len())
+                    }
+                    None => all_start..all_end,
                 };
                 stages.push(StagePlan {
                     stage,
                     resource,
-                    pair: pair_of(binding.id, resource),
-                    own_demand: demand_of(binding.id, from, to),
+                    pair: pair_start[flow_idx] + cx(position),
+                    own_demand: hop_demands[global_hop],
                     utilization,
                     all_terms: all_start..all_end,
                     other_terms,
-                    circ,
+                    circ: stage_circ,
                     propagation,
                 });
             }
-            input_pairs.sort_unstable();
-            input_pairs.dedup();
             flow_plans.push(FlowPlan {
                 id: binding.id,
                 n_frames: binding.flow.n_frames(),
-                first_link_pair: stages[0].pair,
                 stages,
-                input_pairs,
+                first_hop: first_hop[flow_idx],
+                terms: flow_terms_start..cx(terms.len()),
             });
         }
 
         Ok(DensePlan {
-            resources,
             flows: flow_plans,
-            pair_resource,
             pair_base,
             pair_frames,
             arena_len: ux(arena_len),
             terms,
+            hop_demands,
         })
     }
 
@@ -445,11 +401,9 @@ impl DensePlan {
 /// `(flow, resource-on-its-route, frame)`, plus a per-pair running max
 /// cache backing the `extra_j` reads of the stage analyses.
 ///
-/// **Write discipline:** every construction path writes each slot at most
-/// once with its final value (the single benign exception — the pipeline
-/// re-recording a flow's first-link source jitter over the initial map's
-/// identical value — is exact re-assignment), so the running max never has
-/// to handle a lowered slot.
+/// A map is immutable once built: the engine assembles each round's next
+/// iterate as a whole arena ([`DenseJitters::from_values`]), so every
+/// per-pair max is computed once, from final values.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DenseJitters {
     values: Vec<Time>,
@@ -465,16 +419,37 @@ impl DenseJitters {
         }
     }
 
+    /// The map holding `values`, a whole arena (the next iterate the
+    /// fixed-point engine assembles from every flow's assignments).
+    pub fn from_values(plan: &DensePlan, values: Vec<Time>) -> DenseJitters {
+        debug_assert_eq!(values.len(), plan.arena_len);
+        let maxes = plan
+            .pair_base
+            .iter()
+            .zip(&plan.pair_frames)
+            .map(|(&base, &frames)| {
+                values[ux(base)..ux(base) + ux(frames)]
+                    .iter()
+                    .copied()
+                    .fold(Time::ZERO, Time::max)
+            })
+            .collect();
+        DenseJitters { values, maxes }
+    }
+
     /// The paper's initial map: every flow's specified source jitter on its
-    /// first link, zero everywhere else.
+    /// first link, zero everywhere else (the engine converts the keyed
+    /// [`JitterMap::initial`]; this is its dense cross-check).
+    #[cfg(test)]
     pub fn initial(plan: &DensePlan, flows: &FlowSet) -> DenseJitters {
-        let mut map = DenseJitters::zeroed(plan);
+        let mut values = vec![Time::ZERO; plan.arena_len];
         for (flow_plan, binding) in plan.flows.iter().zip(flows.bindings()) {
+            let base = ux(plan.pair_base[ux(flow_plan.stages[0].pair)]);
             for (frame, spec) in binding.flow.frames().iter().enumerate() {
-                map.set(plan, flow_plan.first_link_pair, frame, spec.jitter);
+                values[base + frame] = spec.jitter;
             }
         }
-        map
+        DenseJitters::from_values(plan, values)
     }
 
     /// Convert a keyed seed.  Keys outside the plan (flows or resources
@@ -488,13 +463,10 @@ impl DenseJitters {
             let Ok(flow_idx) = bindings.binary_search_by_key(&flow, |b| b.id) else {
                 continue;
             };
-            let Ok(resource_idx) = plan.resources.binary_search(&resource) else {
-                continue;
-            };
             let Some(pair) = plan.flows[flow_idx]
                 .stages
                 .iter()
-                .find(|s| ux(plan.pair_resource[ux(s.pair)]) == resource_idx)
+                .find(|s| s.resource == resource)
                 .map(|s| s.pair)
             else {
                 continue;
@@ -517,20 +489,6 @@ impl DenseJitters {
     #[cfg(test)]
     pub fn get(&self, plan: &DensePlan, pair: u32, frame: usize) -> Time {
         self.values[ux(plan.pair_base[ux(pair)]) + frame]
-    }
-
-    /// Set the jitter of `frame` at `pair` (see the write discipline in
-    /// the type docs).
-    #[inline]
-    pub fn set(&mut self, plan: &DensePlan, pair: u32, frame: usize, value: Time) {
-        let idx = ux(plan.pair_base[ux(pair)]) + frame;
-        debug_assert!(
-            self.values[idx] <= value || self.values[idx].approx_eq(value),
-            "dense jitter slot lowered from {} to {value}",
-            self.values[idx]
-        );
-        self.values[idx] = value;
-        self.maxes[ux(pair)] = self.maxes[ux(pair)].max(value);
     }
 
     /// `extra_j`: the largest jitter of any frame at `pair`
@@ -561,17 +519,6 @@ impl DenseJitters {
             worst = worst.max(diff);
         }
         worst
-    }
-
-    /// `true` if `self` and `other` are *exactly* equal on every slot of
-    /// every listed pair — the round-skipping test (exact equality, not the
-    /// convergence tolerance, so a skipped analysis is byte-identical by
-    /// construction).
-    pub fn pairs_equal(&self, plan: &DensePlan, other: &DenseJitters, pairs: &[u32]) -> bool {
-        pairs.iter().all(|&pair| {
-            let range = plan.range(pair);
-            self.values[range.clone()] == other.values[range]
-        })
     }
 }
 
@@ -647,10 +594,16 @@ mod tests {
             plan.term_slice(&first.all_terms).len(),
             plan.term_slice(&first.other_terms).len() + 1
         );
-        // Input pairs are sorted and deduplicated.
+        // Each flow's pairs are contiguous, one per stage in walk order,
+        // and its terms tile one contiguous range.
         for flow in &plan.flows {
-            assert!(flow.input_pairs.windows(2).all(|w| w[0] < w[1]));
+            let first = flow.stages[0].pair;
+            for (position, stage) in flow.stages.iter().enumerate() {
+                assert_eq!(stage.pair, first + cx(position));
+            }
         }
+        assert_eq!(plan.flows[0].terms.end, plan.flows[1].terms.start);
+        assert_eq!(ux(plan.flows[1].terms.end), plan.terms.len());
     }
 
     #[test]
@@ -681,21 +634,21 @@ mod tests {
     }
 
     #[test]
-    fn pairs_equal_is_exact_per_pair() {
+    fn from_values_caches_each_pairs_max() {
         let (t, fs) = setup();
         let ctx = AnalysisContext::new(&t, &fs).unwrap();
         let plan = ctx.plan();
         let a = DenseJitters::initial(plan, &fs);
-        let mut b = a.clone();
-        let all: Vec<u32> = (0..plan.n_pairs() as u32).collect();
-        assert!(a.pairs_equal(plan, &b, &all));
-        let pair = plan.flows[0].first_link_pair;
-        b.set(plan, pair, 0, Time::from_millis(9.0));
-        assert!(!a.pairs_equal(plan, &b, &all));
-        assert!(!a.pairs_equal(plan, &b, &[pair]));
-        // Pairs other than the touched one still compare equal.
-        let others: Vec<u32> = all.iter().copied().filter(|&p| p != pair).collect();
-        assert!(a.pairs_equal(plan, &b, &others));
+        let pair = plan.flows[0].stages[0].pair;
+        let mut values = a.values.clone();
+        values[ux(plan.pair_base[ux(pair)])] = Time::from_millis(9.0);
+        let b = DenseJitters::from_values(plan, values);
+        assert_eq!(b.get(plan, pair, 0), Time::from_millis(9.0));
+        assert_eq!(b.max_jitter(pair), Time::from_millis(9.0));
+        // Every other pair's max is untouched.
+        for other in (0..plan.n_pairs()).map(cx).filter(|&p| p != pair) {
+            assert_eq!(a.max_jitter(other), b.max_jitter(other));
+        }
         assert!(a.max_abs_diff(&b) > Time::ZERO);
         assert!(!a.approx_eq(&b));
         assert_eq!(a.max_jitter(NO_PAIR), Time::ZERO);

@@ -9,8 +9,8 @@
 //! directed link.  Consequently the weak components of the per-resource
 //! dependency graph, projected onto flows, are exactly the connected
 //! components of the *"flows share a directed link"* graph — a flow-level
-//! union-find over the [`gmf_net::FlowSet::link_index`] suffices, with no
-//! per-resource nodes at all.  That is what [`gmf_net::FlowComponents`]
+//! union-find over each link's flows suffices, with no per-resource nodes
+//! at all.  That is what [`gmf_net::FlowComponents`]
 //! maintains and what this module names:
 //!
 //! * a **shard** is one weak component, identified by its smallest member
@@ -28,7 +28,6 @@
 //! can run concurrently with bit-identical results (the
 //! `AdmissionController::request_batch` path).
 
-use crate::context::ResourceId;
 use gmf_model::FlowId;
 use gmf_net::{FlowBinding, FlowComponents, FlowSet, Route};
 use serde::{Deserialize, Serialize};
@@ -151,10 +150,6 @@ impl DependencyGraph {
         self.components.remove_batch(departed, remaining);
     }
 }
-
-/// A node of the jitter-dependency graph, re-exported for documentation
-/// and diagnostics: one flow's jitter at one resource of its route.
-pub type DependencyNode = (FlowId, ResourceId);
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 //! The holistic fixed-point engine: parallel Jacobi rounds of the jitter
-//! iteration, with exact-equality round skipping.
+//! iteration, re-solving only the stages whose inputs moved.
 //!
 //! The holistic analysis ([`crate::holistic`]) resolves the circular
 //! dependency between response times and generalized jitters by iterating
@@ -23,18 +23,29 @@
 //! **Parallel Jacobi rounds.**  Within one round every flow is analysed
 //! against the *same* immutable previous-round map, so the per-flow
 //! analyses are embarrassingly parallel.  [`evaluate_round`] maps them over
-//! a [`gmf_par::par_map`] fork-join pool; results come back in flow-index
-//! order, the next map is folded sequentially in that order, and error
-//! precedence scans in that order too — the output is byte-identical to
-//! the sequential loop at any thread count.
+//! a [`gmf_par::par_map_interleaved_with`] fork-join pool; results come
+//! back in flow-index order, the next map is assembled in that order,
+//! and error precedence scans in that order too — the output is
+//! byte-identical to the sequential loop at any thread count.
 //!
-//! **Exact-equality round skipping.**  A flow whose every input jitter
-//! slot (see [`crate::dense::FlowPlan::input_pairs`]) is *exactly* equal
-//! to the arena its cached analysis read is not re-analysed: re-analysing
-//! it would reproduce the cached report and assignments bit for bit.
-//! Exact equality — not the convergence tolerance — is what makes the skip
-//! invisible; only the `flow_analyses` cost counter shrinks, and it never
-//! exceeds `rounds × flows`.
+//! **Exact-equality stage reuse.**  A stage's per-frame responses depend
+//! on the iterate only through the `extra_j` of the pairs in its
+//! `all_terms` slice — all that [`crate::kernel::KernelScratch::resolve_terms`]
+//! reads.  The engine keeps, per stage, the extras its last solve read and
+//! the responses it produced, in run-long flat arrays parallel to the
+//! plan's terms and to the jitter arena (split into one disjoint
+//! [`FlowMemo`] per flow, so workers update them in place and no round
+//! allocates them).  A stage whose extras are *exactly* unchanged reuses
+//! its responses instead of being re-solved; a flow whose stages all reuse
+//! keeps its `Arc<FlowReport>` and assignments verbatim.  Exact equality
+//! — not the convergence tolerance — is what makes the reuse invisible:
+//! re-solving would reproduce the memoised responses bit for bit, so only
+//! the cost counters shrink.  `flow_analyses` counts flows with at least
+//! one re-solved stage (never above `rounds × flows`), `stage_analyses`
+//! the re-solved stages (never above `rounds × stages`).  The round loop
+//! itself is plain Picard: every round evaluates `G` at the previous
+//! iterate, so `iterations` and the residual `trace` are those of the
+//! keyed oracle.
 //!
 //! **Seeds.**  [`iterate_from`] starts the iteration from an arbitrary
 //! [`JitterMap`] instead of the paper's initial map.  Each jitter node
@@ -53,8 +64,8 @@ use crate::context::{AnalysisContext, JitterMap};
 use crate::dense::DenseJitters;
 use crate::error::AnalysisError;
 use crate::kernel::KernelScratch;
-use crate::pipeline::analyze_flow_dense;
-use crate::report::{AnalysisReport, FlowReport, FrameBound};
+use crate::pipeline::{analyze_flow_dense, FlowMemo};
+use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::Time;
 use gmf_par::{par_map_interleaved_with, Threads};
 use serde::{Deserialize, Serialize};
@@ -96,9 +107,10 @@ impl ConvergenceTrace {
     }
 }
 
-/// Everything one `G` evaluation produces.  Reports are `Arc`-shared:
-/// round-skipped flows hand the same allocation to every round instead of
-/// deep-copying `R × F` report clones across the run.
+/// Everything one `G` evaluation produces.  Reports are `Arc`-shared: a
+/// flow whose stages all reuse their solves hands the same allocation to
+/// every round instead of deep-copying `R × F` report clones across the
+/// run.
 enum RoundOutcome {
     /// Every flow analysed: the per-flow reports and the next jitter map.
     Evaluated {
@@ -123,58 +135,30 @@ fn unwrap_reports(reports: Vec<Arc<FlowReport>>) -> Vec<FlowReport> {
         .collect()
 }
 
-/// What the engine remembers about one flow's last analysis: its report
-/// and its per-stage jitter assignments, both reusable verbatim while the
-/// flow's inputs (see [`crate::dense::FlowPlan::input_pairs`]) are
-/// unchanged.
-struct FlowCache {
-    report: Arc<FlowReport>,
-    /// Frame-major, stage-minor accumulated jitters (the dense form of
-    /// [`crate::pipeline::JitterAssignments`]).
-    assignments: Vec<Vec<Time>>,
-}
-
-/// Evaluate `G` at `jitters`: analyse every *dirty* flow of the context's
-/// flow set against the given arena, in parallel over `threads` workers,
-/// and fold the assignments (fresh or cached) into the next round's arena.
-/// Returns the outcome and the number of per-flow analyses actually
-/// performed.
-///
-/// A flow is *skipped* — its cached report and assignments reused without
-/// re-analysing (Jacobi memoization) — when its input slots are exactly
-/// unchanged since its last analysis; every other flow is dirty.
+/// Evaluate `G` at `jitters`: analyse every flow of the context's flow
+/// set against the given arena, in parallel over `threads` workers,
+/// re-solving only the stages whose inputs moved since their memoised
+/// solve (see [`analyze_flow_dense`]), and assemble the next round's
+/// arena from every flow's assignments.  Returns the outcome, the number
+/// of flows with at least one re-solved stage and the number of re-solved
+/// stages.
 ///
 /// Flows are analysed in flow-index order semantics: results are collected
-/// in that order, the next map is folded in that order, and the first
-/// erroring flow in that order decides the outcome — so the result is
-/// byte-identical to the sequential loop at any thread count.  Skipping is
-/// equally invisible: a skipped flow's inputs are *exactly* equal to those
-/// of its cached analysis, so re-analysing it would reproduce the cached
-/// report and assignments bit for bit — and a skipped flow can never be
-/// the round's first error, because its cached analysis succeeded on the
-/// same inputs.
+/// in that order and the first erroring flow in that order decides the
+/// outcome — so the result is byte-identical to the sequential loop at any
+/// thread count.  Reuse is equally invisible: a reused stage's inputs are
+/// *exactly* equal to those of its memoised solve, so re-solving it would
+/// reproduce its responses bit for bit — and it can never be the round's
+/// first error, because its memoised solve succeeded on the same inputs.
 fn evaluate_round(
     ctx: &AnalysisContext<'_>,
     jitters: &DenseJitters,
     config: &AnalysisConfig,
-    cache: &mut [Option<FlowCache>],
-    last_input: Option<&DenseJitters>,
-) -> Result<(RoundOutcome, usize), AnalysisError> {
-    let plan = ctx.plan();
-    let bindings = ctx.flows().bindings();
-
-    let skipped: Vec<bool> = (0..bindings.len())
-        .map(|index| {
-            cache[index].is_some()
-                && last_input.is_some_and(|previous| {
-                    jitters.pairs_equal(plan, previous, &plan.flows[index].input_pairs)
-                })
-        })
-        .collect();
-    let dirty: Vec<usize> = (0..bindings.len())
-        .filter(|&index| !skipped[index])
-        .collect();
+    memos: &mut [FlowMemo<'_>],
+    scratch: &mut KernelScratch,
+) -> Result<(RoundOutcome, usize, usize), AnalysisError> {
     let threads = Threads::new(config.threads);
+    let n_flows = memos.len();
 
     // With one worker the results come from a lazy iterator, so the scan
     // below short-circuits on the first erroring flow without analysing the
@@ -182,80 +166,59 @@ fn evaluate_round(
     // with several workers everything is evaluated eagerly up front.  Error
     // precedence is first-in-flow-order either way, so the outcome is
     // byte-identical at any thread count.
-    type FlowResult = Result<(Vec<FrameBound>, Vec<Vec<Time>>), AnalysisError>;
-    let mut results: Box<dyn Iterator<Item = FlowResult> + '_> = if threads.get() == 1 {
-        let mut scratch = KernelScratch::default();
+    type FlowResult = (usize, Result<Arc<FlowReport>, AnalysisError>);
+    let analyze = |scratch: &mut KernelScratch, index: usize, memo: &mut FlowMemo<'_>| {
+        let mut solved = 0;
+        let result = analyze_flow_dense(ctx, jitters, config, index, memo, scratch, &mut solved);
+        (solved, result)
+    };
+    let results: Box<dyn Iterator<Item = FlowResult> + '_> = if threads.get() == 1 {
         Box::new(
-            dirty
-                .iter()
-                .map(move |&index| analyze_flow_dense(ctx, jitters, config, index, &mut scratch)),
+            memos
+                .iter_mut()
+                .enumerate()
+                .map(move |(index, memo)| analyze(scratch, index, memo)),
         )
     } else {
         Box::new(
-            par_map_interleaved_with(threads, &dirty, KernelScratch::default, {
-                |scratch, _, &index| analyze_flow_dense(ctx, jitters, config, index, scratch)
-            })
-            .into_iter(),
+            par_map_interleaved_with(threads, memos, KernelScratch::default, analyze).into_iter(),
         )
     };
 
-    let mut analyzed = 0usize;
-    let mut reports: Vec<Arc<FlowReport>> = Vec::with_capacity(bindings.len());
-    for (index, binding) in bindings.iter().enumerate() {
-        if skipped[index] {
-            let cached = cache[index]
-                .as_ref()
-                // tidy-allow: unwrap invariant: skipped flows have a cached analysis
-                .expect("skipped flows have a cached analysis");
-            reports.push(Arc::clone(&cached.report));
-            continue;
-        }
-        // tidy-allow: unwrap invariant: one result per dirty flow
-        let result = results.next().expect("one result per dirty flow");
-        analyzed += 1;
+    let mut flows_solved = 0usize;
+    let mut stages_solved = 0usize;
+    let mut reports: Vec<Arc<FlowReport>> = Vec::with_capacity(n_flows);
+    for (stages, result) in results {
+        stages_solved += stages;
+        flows_solved += usize::from(stages > 0);
         match result {
-            Ok((bounds, assignments)) => {
-                let report = Arc::new(FlowReport {
-                    flow: binding.id,
-                    name: binding.flow.name().to_string(),
-                    frames: bounds,
-                });
-                reports.push(Arc::clone(&report));
-                cache[index] = Some(FlowCache {
-                    report,
-                    assignments,
-                });
-            }
+            Ok(report) => reports.push(report),
             Err(err) if err.is_unschedulable() => {
                 return Ok((
                     RoundOutcome::Unschedulable {
                         partial: reports,
                         failure: err.to_string(),
                     },
-                    analyzed,
+                    flows_solved,
+                    stages_solved,
                 ));
             }
             Err(err) => return Err(err),
         }
     }
-    drop(results);
 
-    // Every flow (fresh or skipped) folds its assignments — a skipped
-    // flow's cached assignments are exactly what re-analysing it would
-    // have produced.
-    let mut next = DenseJitters::initial(plan, ctx.flows());
-    for (flow_plan, cached) in plan.flows.iter().zip(cache.iter()) {
-        let cached = cached
-            .as_ref()
-            // tidy-allow: unwrap invariant: every flow has a cached analysis after the scan
-            .expect("every flow has a cached analysis after the scan");
-        for (frame, frame_assignments) in cached.assignments.iter().enumerate() {
-            for (stage, &jitter) in frame_assignments.iter().enumerate() {
-                next.set(plan, flow_plan.stages[stage].pair, frame, jitter);
-            }
-        }
+    // Every flow's memo holds its assignments at this iterate — fresh or
+    // reused — and the flows' slices tile the arena in order.
+    let mut values = Vec::with_capacity(ctx.plan().arena_len);
+    for memo in memos.iter() {
+        values.extend_from_slice(memo.assigned);
     }
-    Ok((RoundOutcome::Evaluated { reports, next }, analyzed))
+    let next = DenseJitters::from_values(ctx.plan(), values);
+    Ok((
+        RoundOutcome::Evaluated { reports, next },
+        flows_solved,
+        stages_solved,
+    ))
 }
 
 /// Everything one holistic fixed-point run produces: the report and the
@@ -264,11 +227,16 @@ fn evaluate_round(
 pub struct FixedPointRun {
     /// The analysis report (what [`crate::holistic::analyze`] returns).
     pub report: AnalysisReport,
-    /// Number of per-flow pipeline analyses performed: at most rounds ×
-    /// flows analysed per round, fewer when round skipping reuses a
-    /// cached analysis or a round aborts early.  This is the
-    /// admission-control cost metric the churn experiment tracks.
+    /// Number of per-flow pipeline analyses performed — flows with at
+    /// least one re-solved stage, summed over rounds: at most rounds ×
+    /// flows, fewer when every stage of a flow reuses its memoised solve
+    /// or a round aborts early.  This is the admission-control cost
+    /// metric the churn experiment tracks.
     pub flow_analyses: usize,
+    /// Number of per-stage solves performed, summed over rounds: at most
+    /// rounds × stages, fewer when a stage's inputs are exactly unchanged
+    /// since its memoised solve.
+    pub stage_analyses: usize,
 }
 
 /// Run the holistic jitter iteration from the paper's initial map (source
@@ -305,17 +273,21 @@ pub fn iterate_from(
     let plan = ctx.plan();
     let mut x = DenseJitters::from_keyed(plan, ctx.flows(), &initial);
     let mut flow_analyses = 0usize;
+    let mut stage_analyses = 0usize;
     let mut last_reports: Vec<Arc<FlowReport>> = Vec::new();
     let mut trace = ConvergenceTrace::default();
-    // Per-flow memo backing the round skipping: each flow's last analysis,
-    // valid while its input slots match `last_input` (the arena the memo
-    // entries were computed against).
-    let mut cache: Vec<Option<FlowCache>> = (0..plan.flows.len()).map(|_| None).collect();
-    let mut last_input: Option<DenseJitters> = None;
+    // The run's stage memo, one disjoint slice per flow (see
+    // `FlowMemo`): allocated once, updated in place every round.
+    let mut extras = vec![Time::ZERO; plan.terms.len()];
+    let mut responses = vec![Time::ZERO; plan.arena_len];
+    let mut assigned = vec![Time::ZERO; plan.arena_len];
+    let mut memos = FlowMemo::split(plan, &mut extras, &mut responses, &mut assigned);
+    let mut scratch = KernelScratch::default();
 
     for iteration in 1..=config.max_holistic_iterations {
-        let (outcome, analyzed) = evaluate_round(ctx, &x, config, &mut cache, last_input.as_ref())?;
-        flow_analyses += analyzed;
+        let (outcome, flows, stages) = evaluate_round(ctx, &x, config, &mut memos, &mut scratch)?;
+        flow_analyses += flows;
+        stage_analyses += stages;
         let (reports, gx) = match outcome {
             RoundOutcome::Evaluated { reports, next } => (reports, next),
             RoundOutcome::Unschedulable { partial, failure } => {
@@ -326,7 +298,7 @@ pub fn iterate_from(
                     iteration,
                     residual: Time::ZERO,
                 });
-                drop(cache);
+                drop(memos);
                 return Ok(FixedPointRun {
                     report: AnalysisReport {
                         flows: unwrap_reports(partial),
@@ -337,6 +309,7 @@ pub fn iterate_from(
                         trace,
                     },
                     flow_analyses,
+                    stage_analyses,
                 });
             }
         };
@@ -358,7 +331,9 @@ pub fn iterate_from(
                     .join(", ");
                 Some(format!("deadline missed by: {miss}"))
             };
-            drop(cache);
+            // The memos hold the last references to the reports, so the
+            // unwrap below moves them instead of cloning.
+            drop(memos);
             return Ok(FixedPointRun {
                 report: AnalysisReport {
                     flows: unwrap_reports(reports),
@@ -369,18 +344,16 @@ pub fn iterate_from(
                     trace,
                 },
                 flow_analyses,
+                stage_analyses,
             });
         }
 
-        // After a completed round every cache entry is valid against the
-        // arena it just read: refreshed entries were computed at `x`, kept
-        // entries had inputs exactly equal to their own reference arena.
         last_reports = reports;
-        last_input = Some(std::mem::replace(&mut x, gx));
+        x = gx;
     }
 
     // The jitter iteration did not stabilise within the budget.
-    drop(cache);
+    drop(memos);
     Ok(FixedPointRun {
         report: AnalysisReport {
             flows: unwrap_reports(last_reports),
@@ -396,6 +369,7 @@ pub fn iterate_from(
             trace,
         },
         flow_analyses,
+        stage_analyses,
     })
 }
 
@@ -474,6 +448,123 @@ mod tests {
         for threads in [2usize, 8] {
             let par = analyze(&t, &fs, &AnalysisConfig::paper().with_threads(threads)).unwrap();
             assert_eq!(base, par);
+        }
+    }
+
+    /// A star: one switch, `n` hosts, voice flow `i` from host `i` to host
+    /// `i + 1` — an acyclic jitter dependency graph whose first hops never
+    /// move (every first-link jitter is a constant source jitter).
+    fn voice_star(n: usize) -> (gmf_net::Topology, FlowSet) {
+        use gmf_net::{LinkProfile, Route, SwitchConfig};
+        let mut t = gmf_net::Topology::new();
+        let switch = t.add_switch(SwitchConfig::paper(), "s");
+        let hosts: Vec<_> = (0..n).map(|i| t.add_end_host(format!("h{i}"))).collect();
+        for &host in &hosts {
+            t.add_duplex_link(host, switch, LinkProfile::ethernet_100m())
+                .unwrap();
+        }
+        let mut fs = FlowSet::new();
+        for i in 0..n {
+            let voice = voip_flow(
+                &format!("voice{i}"),
+                VoiceCodec::G711,
+                Time::from_millis(20.0),
+                Time::from_millis(0.5),
+            );
+            let route = Route::new(&t, vec![hosts[i], switch, hosts[(i + 1) % n]]).unwrap();
+            fs.add(voice, route, Priority(7));
+        }
+        (t, fs)
+    }
+
+    #[test]
+    fn first_hop_stages_are_solved_once_per_run_on_an_acyclic_star() {
+        let (t, fs) = voice_star(4);
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        let plan = ctx.plan();
+        let config = AnalysisConfig::paper();
+        let mut x = DenseJitters::from_keyed(plan, &fs, &JitterMap::initial(&fs));
+        let mut extras = vec![Time::ZERO; plan.terms.len()];
+        let mut responses = vec![Time::ZERO; plan.arena_len];
+        let mut assigned = vec![Time::ZERO; plan.arena_len];
+        let mut memos = FlowMemo::split(plan, &mut extras, &mut responses, &mut assigned);
+        let mut scratch = KernelScratch::default();
+        let mut rounds = 0;
+        let mut stage_analyses = 0;
+        loop {
+            rounds += 1;
+            // After the first round every first hop reuses its solve.
+            for (memo, flow_plan) in memos.iter().zip(&plan.flows) {
+                let first_hop = &flow_plan.stages[0];
+                assert_eq!(
+                    memo.stage_hits(plan, flow_plan, &x, first_hop),
+                    rounds > 1,
+                    "round {rounds}"
+                );
+            }
+            let (outcome, _, stages) =
+                evaluate_round(&ctx, &x, &config, &mut memos, &mut scratch).unwrap();
+            stage_analyses += stages;
+            let RoundOutcome::Evaluated { next, .. } = outcome else {
+                panic!("the star is schedulable");
+            };
+            if next.approx_eq(&x) {
+                break;
+            }
+            x = next;
+        }
+        let n_stages: usize = plan.flows.iter().map(|f| f.stages.len()).sum();
+        assert!(rounds >= 2);
+        assert!(stage_analyses < rounds * n_stages);
+        // The engine's own counter and round count agree.
+        let run = iterate(&ctx, &config).unwrap();
+        assert_eq!(run.report.iterations, rounds);
+        assert_eq!(run.stage_analyses, stage_analyses);
+        assert_eq!(
+            run.report,
+            crate::reference::analyze_reference(&t, &fs, &config).unwrap()
+        );
+    }
+
+    #[test]
+    fn aborted_trial_keeps_its_failure_and_partial_reports() {
+        use gmf_model::cbr_flow;
+        // A light voice flow on its own access link, then three bulk flows
+        // that together overload host 0's access link: the round aborts at
+        // the first bulk flow, after the voice flow's report.
+        let (t, net) = paper_figure1();
+        let mut fs = FlowSet::new();
+        let voice = voip_flow(
+            "voice",
+            VoiceCodec::G711,
+            Time::from_millis(20.0),
+            Time::from_millis(0.5),
+        );
+        fs.add(
+            voice,
+            shortest_path(&t, net.hosts[1], net.hosts[3]).unwrap(),
+            Priority(7),
+        );
+        let route = shortest_path(&t, net.hosts[0], net.hosts[3]).unwrap();
+        for i in 0..3 {
+            let bulk = cbr_flow(
+                &format!("bulk{i}"),
+                55_000,
+                Time::from_millis(100.0),
+                Time::from_millis(400.0),
+                Time::from_millis(1.0),
+            );
+            fs.add(bulk, route.clone(), Priority(4));
+        }
+        let reference =
+            crate::reference::analyze_reference(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        assert!(reference.failure.as_ref().unwrap().contains("overloaded"));
+        assert_eq!(reference.flows.len(), 1);
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        for threads in [1usize, 4] {
+            let run = iterate(&ctx, &AnalysisConfig::paper().with_threads(threads)).unwrap();
+            assert_eq!(run.report, reference, "threads = {threads}");
+            assert!(!run.report.converged);
         }
     }
 

@@ -24,7 +24,7 @@
 //! *previous* round's jitters (Jacobi-style), so every round is
 //! deterministic and the per-flow analyses are parallelised by the
 //! fixed-point engine without changing any result.  The iteration itself —
-//! parallel round evaluation, exact-equality round skipping and the
+//! parallel round evaluation, exact-equality stage reuse and the
 //! per-round [`crate::fixed_point::ConvergenceTrace`] — lives in
 //! [`crate::fixed_point`]; this module is the public entry point.
 

@@ -4,8 +4,9 @@
 //! this crate because float->int `as` saturates silently and int->int `as`
 //! truncates silently.  Every index conversion the dense analysis core
 //! needs funnels through these four helpers instead: widenings are
-//! lossless by construction, narrowings are debug-asserted in range (and
-//! lossless on the 64-bit targets we support).
+//! lossless by construction, narrowings are checked (`cx`) or
+//! debug-asserted in range (`qx`, lossless on the 64-bit targets we
+//! support).
 
 /// Widen a `u32` arena / pair / flow index into a `usize` slice index.
 #[inline(always)]
@@ -29,14 +30,12 @@ pub(crate) fn qw(i: usize) -> u64 {
     i as u64 // tidy-allow: cast usize -> u64 widening is lossless on all supported targets
 }
 
-/// Narrow a `usize` enumeration index into a dense `u32` arena index.
-#[inline(always)]
+/// Narrow a `usize` count or index into the dense `u32` index space of the
+/// analysis plan (pairs, terms, demands, hops, arena slots).
+#[inline]
 pub(crate) fn cx(i: usize) -> u32 {
-    debug_assert!(
-        u32::try_from(i).is_ok(),
-        "dense index {i} exceeds the u32 arena range"
-    );
-    i as u32 // tidy-allow: cast usize -> u32 narrowing; arena layouts are u32-bounded by plan construction
+    // tidy-allow: unwrap invariant: plan sizes fit the u32 index space
+    u32::try_from(i).expect("plan sizes fit the u32 index space")
 }
 
 #[cfg(test)]

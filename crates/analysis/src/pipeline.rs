@@ -29,9 +29,11 @@ use crate::context::{AnalysisContext, JitterMap, ResourceId};
 use crate::egress::egress_response;
 use crate::error::{AnalysisError, StageKind};
 use crate::first_hop::first_hop_response;
+use crate::index::ux;
 use crate::ingress::ingress_response;
-use crate::report::{FrameBound, HopBound};
+use crate::report::{FlowReport, FrameBound, HopBound};
 use gmf_model::{FlowId, Time};
+use std::sync::Arc;
 
 /// The jitter values a frame accumulated at each resource of its route,
 /// produced as a by-product of the pipeline walk.
@@ -160,37 +162,133 @@ enum StageState {
     Egress(crate::egress::EgressDense),
 }
 
+/// One flow's slice of a fixed-point run's stage memo: what each of its
+/// stages read and produced when last solved, and the flow's part of the
+/// next iterate.  The engine splits three run-long arrays into one
+/// disjoint slice per flow, so workers update their flows' memos in place.
+pub(crate) struct FlowMemo<'m> {
+    /// The `extra_j` each term of the flow's stages read at the stage's
+    /// last solve: the flow's slice of an array parallel to
+    /// [`crate::dense::DensePlan::terms`].  Only the `all_terms` slots are
+    /// used (`other_terms` reads the same pairs).
+    pub(crate) extras: &'m mut [Time],
+    /// Per-(stage, frame) responses of each stage's last solve, laid out
+    /// like the flow's pairs in the jitter arena (stage-major).
+    pub(crate) responses: &'m mut [Time],
+    /// The jitter each frame accumulated *entering* each stage — the
+    /// flow's slice of the next iterate, same layout as `responses`.
+    pub(crate) assigned: &'m mut [Time],
+    /// The flow's last report; `None` before its first analysis.
+    pub(crate) report: Option<Arc<FlowReport>>,
+}
+
+impl<'m> FlowMemo<'m> {
+    /// Split run-long arrays (parallel to the plan's terms, and twice to
+    /// the jitter arena) into one memo per flow, in flow order.
+    pub(crate) fn split(
+        plan: &crate::dense::DensePlan,
+        mut extras: &'m mut [Time],
+        mut responses: &'m mut [Time],
+        mut assigned: &'m mut [Time],
+    ) -> Vec<FlowMemo<'m>> {
+        plan.flows
+            .iter()
+            .map(|flow_plan| {
+                let terms = ux(flow_plan.terms.end - flow_plan.terms.start);
+                let slots = flow_plan.stages.len() * flow_plan.n_frames;
+                let (flow_extras, rest) = std::mem::take(&mut extras).split_at_mut(terms);
+                extras = rest;
+                let (flow_responses, rest) = std::mem::take(&mut responses).split_at_mut(slots);
+                responses = rest;
+                let (flow_assigned, rest) = std::mem::take(&mut assigned).split_at_mut(slots);
+                assigned = rest;
+                FlowMemo {
+                    extras: flow_extras,
+                    responses: flow_responses,
+                    assigned: flow_assigned,
+                    report: None,
+                }
+            })
+            .collect()
+    }
+
+    /// `true` when the stage's memoised solve read exactly the `extra_j`
+    /// values the current iterate offers: re-solving it would reproduce
+    /// its responses bit for bit.
+    pub(crate) fn stage_hits(
+        &self,
+        plan: &crate::dense::DensePlan,
+        flow_plan: &crate::dense::FlowPlan,
+        jitters: &crate::dense::DenseJitters,
+        stage: &crate::dense::StagePlan,
+    ) -> bool {
+        self.report.is_some()
+            && plan
+                .term_slice(&stage.all_terms)
+                .iter()
+                .zip(&self.extras[memo_range(flow_plan, &stage.all_terms)])
+                .all(|(term, &extra)| jitters.max_jitter(term.pair) == extra)
+    }
+}
+
+/// A stage's term range, relative to the flow's slice of the terms.
+fn memo_range(
+    flow_plan: &crate::dense::FlowPlan,
+    range: &std::ops::Range<u32>,
+) -> std::ops::Range<usize> {
+    ux(range.start - flow_plan.terms.start)..ux(range.end - flow_plan.terms.start)
+}
+
 /// Analyse every frame of the flow at `flow_index` (dense plan order)
 /// against the dense iterate — the engine-internal form of
-/// [`analyze_flow`].
+/// [`analyze_flow`] — re-solving only the stages whose inputs moved.
 ///
-/// The returned assignments are frame-major and stage-minor: the jitter
-/// the frame has accumulated *entering* each stage of the plan's walk, for
-/// the fixed-point engine to fold into the next round's arena.
+/// A stage's responses depend on the iterate only through the `extra_j`
+/// of the pairs in its `all_terms` slice.  A stage whose memoised solve
+/// read exactly those values (see [`FlowMemo`]) reuses its per-frame
+/// responses; every other stage is re-solved and its memo refreshed.  A
+/// flow whose stages all hit returns its memoised report untouched.
+/// Returns the flow's report and counts the re-solved stages in `solved`
+/// (errors included); the frame-major, stage-minor assignments land in
+/// `memo.assigned`.
 ///
 /// Byte-identity with the keyed walk: stage states are constructed
 /// *lazily, in frame 0's walk order*, so any error a stage's
 /// frame-independent computations raise surfaces at exactly the point the
 /// keyed walk would raise it; later frames can only fail in the
 /// frame-dependent parts (the first-hop busy period and its lazily
-/// extended `w(q)` memo), which run in the keyed order too.
+/// extended `w(q)` memo), which run in the keyed order too.  A reused
+/// stage succeeded on the same inputs, so skipping it never hides an
+/// error.
 pub(crate) fn analyze_flow_dense(
     ctx: &AnalysisContext<'_>,
     jitters: &crate::dense::DenseJitters,
     config: &AnalysisConfig,
     flow_index: usize,
+    memo: &mut FlowMemo<'_>,
     scratch: &mut crate::kernel::KernelScratch,
-) -> Result<(Vec<FrameBound>, Vec<Vec<Time>>), AnalysisError> {
+    solved: &mut usize,
+) -> Result<Arc<FlowReport>, AnalysisError> {
     let plan = ctx.plan();
     let flow_plan = &plan.flows[flow_index];
+    if let Some(report) = &memo.report {
+        if flow_plan
+            .stages
+            .iter()
+            .all(|stage| memo.stage_hits(plan, flow_plan, jitters, stage))
+        {
+            return Ok(Arc::clone(report));
+        }
+    }
     let binding = &ctx.flows().bindings()[flow_index];
     let flow = flow_plan.id;
+    let n_frames = flow_plan.n_frames;
     scratch.reset();
 
-    let mut states: Vec<StageState> = Vec::with_capacity(flow_plan.stages.len());
-    let mut bounds = Vec::with_capacity(flow_plan.n_frames);
-    let mut assignments = Vec::with_capacity(flow_plan.n_frames);
-    for frame in 0..flow_plan.n_frames {
+    // `None` marks a stage whose memoised responses are reused.
+    let mut states: Vec<Option<StageState>> = Vec::with_capacity(flow_plan.stages.len());
+    let mut bounds = Vec::with_capacity(n_frames);
+    for frame in 0..n_frames {
         let spec = binding
             .flow
             .frame(frame)
@@ -201,33 +299,53 @@ pub(crate) fn analyze_flow_dense(
         let mut rsum = source_jitter;
         let mut jsum = source_jitter;
         let mut hops = Vec::with_capacity(flow_plan.stages.len());
-        let mut frame_assignments = Vec::with_capacity(flow_plan.stages.len());
 
         for (index, stage) in flow_plan.stages.iter().enumerate() {
-            frame_assignments.push(jsum);
+            let slot = index * n_frames + frame;
+            memo.assigned[slot] = jsum;
             if states.len() == index {
-                states.push(match stage.stage {
-                    crate::error::StageKind::FirstHop => {
-                        StageState::First(crate::first_hop::FirstHopDense::build(
-                            plan, jitters, config, flow, stage, scratch,
-                        )?)
+                if memo.stage_hits(plan, flow_plan, jitters, stage) {
+                    states.push(None);
+                } else {
+                    *solved += 1;
+                    let range = memo_range(flow_plan, &stage.all_terms);
+                    for (term, extra) in plan
+                        .term_slice(&stage.all_terms)
+                        .iter()
+                        .zip(&mut memo.extras[range])
+                    {
+                        *extra = jitters.max_jitter(term.pair);
                     }
-                    crate::error::StageKind::SwitchIngress => {
-                        StageState::Ingress(crate::ingress::IngressDense::build(
-                            ctx, jitters, config, flow, stage, scratch,
-                        )?)
-                    }
-                    crate::error::StageKind::EgressLink => {
-                        StageState::Egress(crate::egress::EgressDense::build(
-                            ctx, jitters, config, flow, stage, scratch,
-                        )?)
-                    }
-                });
+                    states.push(Some(match stage.stage {
+                        crate::error::StageKind::FirstHop => {
+                            StageState::First(crate::first_hop::FirstHopDense::build(
+                                plan, jitters, config, flow, stage, scratch,
+                            )?)
+                        }
+                        crate::error::StageKind::SwitchIngress => {
+                            StageState::Ingress(crate::ingress::IngressDense::build(
+                                ctx, jitters, config, flow, stage, scratch,
+                            )?)
+                        }
+                        crate::error::StageKind::EgressLink => {
+                            StageState::Egress(crate::egress::EgressDense::build(
+                                ctx, jitters, config, flow, stage, scratch,
+                            )?)
+                        }
+                    }));
+                }
             }
             let response = match &mut states[index] {
-                StageState::First(state) => state.response(ctx, config, frame, scratch)?,
-                StageState::Ingress(state) => state.response(ctx, frame, scratch),
-                StageState::Egress(state) => state.response(ctx, config, frame, scratch)?,
+                None => memo.responses[slot],
+                Some(state) => {
+                    let response = match state {
+                        StageState::First(state) => state.response(ctx, config, frame, scratch)?,
+                        StageState::Ingress(state) => state.response(ctx, frame, scratch),
+                        StageState::Egress(state) => state.response(ctx, config, frame, scratch)?,
+                    };
+                    memo.responses[slot] = response;
+                    response
+                }
             };
             hops.push(HopBound {
                 resource: stage.resource,
@@ -246,9 +364,14 @@ pub(crate) fn analyze_flow_dense(
             deadline: spec.deadline,
             hops,
         });
-        assignments.push(frame_assignments);
     }
-    Ok((bounds, assignments))
+    let report = Arc::new(FlowReport {
+        flow,
+        name: binding.flow.name().to_string(),
+        frames: bounds,
+    });
+    memo.report = Some(Arc::clone(&report));
+    Ok(report)
 }
 
 /// Sanity helper used in tests and experiments: the sum of a frame's

@@ -6,13 +6,12 @@
 //! built from the boundary-level pieces that never went dense: the keyed
 //! [`JitterMap`] (tree-map probes and all) and the per-frame keyed stage
 //! walk [`crate::pipeline::analyze_flow`].  It performs no parallelism and
-//! no round skipping — every flow is re-analysed from the keyed map every
-//! round.
+//! no reuse — every flow is re-analysed from the keyed map every round.
 //!
 //! Its value is being *obviously* faithful to the equations: the
 //! property tests in `tests/dense_engine_properties.rs` assert that the
 //! production engine — dense tables, arena iterates, Arc-shared reports,
-//! dirty-flow skipping, any thread count — returns an
+//! stage reuse, any thread count — returns an
 //! [`AnalysisReport`] byte-identical to this one on random workloads.
 //! Keep it slow and transparent; do not optimise it.
 

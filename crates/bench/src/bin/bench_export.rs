@@ -7,29 +7,36 @@
 //! writes `BENCH.json`:
 //!
 //! ```json
-//! { "schema": 3,
+//! { "schema": 4,
 //!   "timings_ns": { "<bench>": <median ns per iteration>, ... },
+//!   "calibrated": { "<bench>": <median ratio to the calibration body>, ... },
 //!   "counters":   { "<counter>": <deterministic count>, ... } }
 //! ```
 //!
 //! `timings_ns` carries the wall-clock medians (machine-dependent);
-//! `counters` carries the engine's *deterministic* cost metrics — holistic
-//! rounds and per-flow analyses per workload (`rounds/<workload>/skip`,
-//! `flow_analyses/<workload>/skip`: the engine always skips flows whose
-//! inputs are exactly unchanged; the cost without skipping is `rounds ×
-//! flows`), the simulator's event and calendar-queue shape counters, and
-//! the tightness-atlas percentile counters — which must be bit-identical
-//! on every machine.  Schema 3 added the `sim/*` and `atlas/*` counters;
-//! with the event count pinned exactly, the normalised gate on the
-//! simulator timing is an events/sec gate.
+//! `calibrated` the same bodies as ratios to a calibration body timed in
+//! alternation with them; `counters` carries the engine's *deterministic*
+//! cost metrics — holistic rounds, per-flow and per-stage analyses per
+//! workload (`rounds/<workload>/skip`, `flow_analyses/<workload>/skip`,
+//! `stage_analyses/<workload>/skip`: the engine re-solves only the stages
+//! whose inputs moved; the cost without reuse is `rounds × flows` and
+//! `rounds × stages`), the demand-kernel shape, the simulator's event and
+//! calendar-queue shape counters, and the tightness-atlas percentile
+//! counters — which must be bit-identical on every machine.  Schema 3
+//! added the `sim/*` and `atlas/*` counters; with the event count pinned
+//! exactly, the gate on the simulator timing is an events/sec gate.
+//! Schema 4 added `calibrated`.
 //!
 //! **Baseline check** (`--baseline <path>`): compares the fresh run
 //! against a committed baseline and exits non-zero on regression.
-//! Counters must match exactly.  Timings are compared *normalised by the
-//! `link_demand_build_paper_flow` entry* — a pure-CPU yardstick that
-//! cancels overall machine speed out of the ratio — and fail when a
-//! normalised timing exceeds the baseline by more than
-//! `GMF_BENCH_TOLERANCE` (default 1.5; generous, for runner noise).
+//! Counters must match exactly.  Timings are compared as `calibrated`
+//! ratios: every sample of a body is taken right after a sample of the
+//! `link_demand_build_paper_flow` body — a pure-CPU yardstick — and the
+//! median of the per-sample ratios cancels host speed *and* load drift
+//! out of the comparison.  A ratio exceeding the baseline's by more than
+//! `GMF_BENCH_TOLERANCE` (default 1.5; generous, for runner noise) is
+//! re-measured after a pause, and fails only if it exceeds the bound in
+//! all three measurements.
 //!
 //! Usage: `bench_export [OUTPUT_PATH] [--baseline PATH]` (default output
 //! `BENCH.json`).  Sample count: `GMF_BENCH_EXPORT_SAMPLES` (default 7).
@@ -40,22 +47,25 @@ use gmf_analysis::{
 };
 use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
-    churn_bench_config, long_tail_bench_scenario, median_ns, metro_bench_config,
-    mixed_depth_line_scenario, print_header, print_table, run_metro_admission,
+    churn_bench_config, long_tail_bench_scenario, median_ns, median_ns_calibrated,
+    metro_bench_config, mixed_depth_line_scenario, print_header, print_table, run_metro_admission,
     synthetic_converging_set, CHURN_BENCH_SEED, HOLISTIC_SYNTHETIC_AXIS, HOLISTIC_THREAD_AXIS,
     METRO_BENCH_SEED, METRO_SMALL_BATCHES, METRO_SMALL_BATCH_SIZE, METRO_TIGHT_FRACTION,
 };
 use gmf_model::{
-    paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, FlowId, LinkDemand, Time,
+    paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, FlowId, GmfFlow, LinkDemand,
+    Time,
 };
 use gmf_net::NodeId;
 use gmf_workloads::{paper_scenario, run_churn};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::OnceLock;
 use switch_sim::{SimConfig, Simulator};
 
-/// The calibration timing used to normalise cross-machine comparisons.
+/// The calibration entry: its body is timed in alternation with every
+/// other body to normalise away host speed and load.
 const CALIBRATION: &str = "link_demand_build_paper_flow";
 
 /// The `BENCH.json` schema (see module docs).
@@ -63,7 +73,31 @@ const CALIBRATION: &str = "link_demand_build_paper_flow";
 struct BenchReport {
     schema: u32,
     timings_ns: BTreeMap<String, u64>,
+    calibrated: BTreeMap<String, f64>,
     counters: BTreeMap<String, u64>,
+}
+
+/// The calibration body: one `LinkDemand` build of the paper's video flow
+/// on a 10 Mbit/s link — pure CPU, no allocation-heavy state.
+fn calibration_body() {
+    static INPUT: OnceLock<(GmfFlow, EncapsulationConfig)> = OnceLock::new();
+    let (flow, encapsulation) = INPUT.get_or_init(|| {
+        (
+            paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0)),
+            EncapsulationConfig::paper(),
+        )
+    });
+    black_box(LinkDemand::new(
+        black_box(flow),
+        encapsulation,
+        BitRate::from_mbps(10.0),
+    ));
+}
+
+/// Time `f` in alternation with [`calibration_body`]: the median ns per
+/// iteration and the median per-sample ratio to the calibration body.
+fn timed<F: FnMut()>(samples: usize, f: F) -> (u64, f64) {
+    median_ns_calibrated(samples, f, calibration_body)
 }
 
 fn main() {
@@ -87,43 +121,84 @@ fn main() {
         .unwrap_or(7);
 
     print_header("BENCH", "Benchmark medians for the CI perf trajectory");
+    let report = measure(samples);
+
+    // Human-readable tables plus the machine-readable artifact.
+    let rows: Vec<Vec<String>> = report
+        .timings_ns
+        .iter()
+        .map(|(name, ns)| vec![name.clone(), format!("{ns}")])
+        .collect();
+    print_table(&["bench", "median ns"], &rows);
+    println!();
+    let rows: Vec<Vec<String>> = report
+        .counters
+        .iter()
+        .map(|(name, count)| vec![name.clone(), format!("{count}")])
+        .collect();
+    print_table(&["counter", "value"], &rows);
+
+    let json = serde_json::to_string_pretty(&report).expect("report serializes");
+    std::fs::write(&output, json + "\n").expect("write BENCH.json");
+    println!();
+    println!(
+        "wrote {} timings and {} counters to {output}",
+        report.timings_ns.len(),
+        report.counters.len()
+    );
+
+    if let Some(baseline_path) = baseline {
+        let failures = check_against_baseline(&report, &baseline_path, samples);
+        if !failures.is_empty() {
+            eprintln!();
+            eprintln!("perf-smoke FAILED against baseline {baseline_path}:");
+            for failure in &failures {
+                eprintln!("  {failure}");
+            }
+            std::process::exit(1);
+        }
+        println!("perf-smoke OK against baseline {baseline_path}");
+    }
+}
+
+/// Run every benchmark body and collect its timings and the deterministic
+/// counters.
+fn measure(samples: usize) -> BenchReport {
     let mut results: BTreeMap<String, u64> = BTreeMap::new();
-    let mut record = |name: &str, ns: u64| {
+    let mut ratios: BTreeMap<String, f64> = BTreeMap::new();
+    let mut record = |name: &str, (ns, ratio): (u64, f64)| {
         results.insert(name.to_string(), ns);
+        ratios.insert(name.to_string(), ratio);
     };
 
-    // B1 — request-bound functions.
+    // B1 — request-bound functions.  The first entry is the calibration
+    // body itself, so its ratio is 1 by definition.
+    record(CALIBRATION, (median_ns(samples, calibration_body), 1.0));
     let flow = paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0));
     let encapsulation = EncapsulationConfig::paper();
     let speed = BitRate::from_mbps(10.0);
-    record(
-        "link_demand_build_paper_flow",
-        median_ns(samples, || {
-            black_box(LinkDemand::new(black_box(&flow), &encapsulation, speed));
-        }),
-    );
     let demand = LinkDemand::new(&flow, &encapsulation, speed);
     record(
         "mx_sub_cycle_window",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(demand.mx(black_box(Time::from_millis(95.0))));
         }),
     );
     record(
         "mx_multi_cycle_window",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(demand.mx(black_box(Time::from_secs(3.0))));
         }),
     );
     record(
         "nx_multi_cycle_window",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(demand.nx(black_box(Time::from_secs(3.0))));
         }),
     );
     record(
         "demand_table_build",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(DemandTable::new(black_box(&demand)));
         }),
     );
@@ -137,7 +212,7 @@ fn main() {
     let video = FlowId(ids.video);
     record(
         "first_hop_ip_frame",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(
                 first_hop_response(&ctx, &jitters, &paper_config, black_box(video), 0).unwrap(),
             );
@@ -145,7 +220,7 @@ fn main() {
     );
     record(
         "switch_ingress_ip_frame",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(
                 ingress_response(
                     &ctx,
@@ -161,7 +236,7 @@ fn main() {
     );
     record(
         "egress_link_ip_frame",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(
                 egress_response(
                     &ctx,
@@ -180,7 +255,7 @@ fn main() {
     // worker-thread axis, and the long-tail workload.
     record(
         "holistic_paper_scenario",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(
                 analyze(
                     black_box(&scenario.topology),
@@ -196,7 +271,7 @@ fn main() {
         let (topology, set) = synthetic_converging_set(n_flows);
         record(
             &format!("holistic_synthetic/{n_flows}"),
-            median_ns(samples, || {
+            timed(samples, || {
                 black_box(analyze(black_box(&topology), &set, &paper_config).unwrap());
             }),
         );
@@ -205,7 +280,7 @@ fn main() {
                 let config = AnalysisConfig::paper().with_threads(threads);
                 record(
                     &format!("holistic_threads/{threads}"),
-                    median_ns(samples, || {
+                    timed(samples, || {
                         black_box(analyze(black_box(&topology), &set, &config).unwrap());
                     }),
                 );
@@ -216,7 +291,7 @@ fn main() {
     let (topology, flows) = long_tail_bench_scenario();
     record(
         "holistic_longtail/picard",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(analyze(black_box(&topology), &flows, &paper_config).unwrap());
         }),
     );
@@ -228,7 +303,7 @@ fn main() {
     let (mixed_topology, mixed_flows) = mixed_depth_line_scenario(10, 4);
     record(
         "analyze_cold/mixed_depth",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(analyze(black_box(&mixed_topology), &mixed_flows, &paper_config).unwrap());
         }),
     );
@@ -258,6 +333,10 @@ fn main() {
                 format!("flow_analyses/{name}/skip"),
                 run.flow_analyses as u64,
             );
+            counters.insert(
+                format!("stage_analyses/{name}/skip"),
+                run.stage_analyses as u64,
+            );
             counters.insert(format!("rounds/{name}/skip"), run.report.iterations as u64);
         }
     }
@@ -267,7 +346,7 @@ fn main() {
     let churn = churn_bench_config();
     record(
         "churn_admission/sharded",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(run_churn(
                 black_box(CHURN_BENCH_SEED),
                 &churn,
@@ -283,7 +362,7 @@ fn main() {
     let metro_config = metro_bench_config();
     record(
         "metro_admission/small",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(run_metro_admission(
                 black_box(METRO_BENCH_SEED),
                 &metro_config,
@@ -331,7 +410,7 @@ fn main() {
     };
     record(
         "simulate_paper_scenario_300ms",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(
                 Simulator::new(black_box(&scenario.topology), &scenario.flows, sim_config)
                     .unwrap()
@@ -383,7 +462,7 @@ fn main() {
     };
     record(
         "tightness_atlas/small",
-        median_ns(samples, || {
+        timed(samples, || {
             black_box(tightness_atlas(black_box(&atlas_config)));
         }),
     );
@@ -403,51 +482,34 @@ fn main() {
         }
     }
 
-    // Human-readable tables plus the machine-readable artifact.
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|(name, ns)| vec![name.clone(), format!("{ns}")])
-        .collect();
-    print_table(&["bench", "median ns"], &rows);
-    println!();
-    let rows: Vec<Vec<String>> = counters
-        .iter()
-        .map(|(name, count)| vec![name.clone(), format!("{count}")])
-        .collect();
-    print_table(&["counter", "value"], &rows);
-
-    let report = BenchReport {
-        schema: 3,
+    BenchReport {
+        schema: 4,
         timings_ns: results,
+        calibrated: ratios,
         counters,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&output, json + "\n").expect("write BENCH.json");
-    println!();
-    println!(
-        "wrote {} timings and {} counters to {output}",
-        report.timings_ns.len(),
-        report.counters.len()
-    );
-
-    if let Some(baseline_path) = baseline {
-        let failures = check_against_baseline(&report, &baseline_path);
-        if !failures.is_empty() {
-            eprintln!();
-            eprintln!("perf-smoke FAILED against baseline {baseline_path}:");
-            for failure in &failures {
-                eprintln!("  {failure}");
-            }
-            std::process::exit(1);
-        }
-        println!("perf-smoke OK against baseline {baseline_path}");
     }
 }
 
+/// Measurements a timing regression must reproduce in before the gate
+/// fails on it (the first run plus re-measurements).
+const CONFIRM_RUNS: usize = 3;
+
+/// Pause before each re-measurement.
+const CONFIRM_PAUSE: std::time::Duration = std::time::Duration::from_secs(3);
+
 /// Compare a fresh report against a committed baseline: counters must
-/// match exactly; timings are normalised by [`CALIBRATION`] and may not
-/// regress by more than `GMF_BENCH_TOLERANCE` (default 1.5).
-fn check_against_baseline(report: &BenchReport, baseline_path: &str) -> Vec<String> {
+/// match exactly; calibrated timing ratios (see [`CALIBRATION`]) may not
+/// regress by more than `GMF_BENCH_TOLERANCE` (default 1.5).  A timing
+/// over the bound is re-measured, and fails only if it is over the bound
+/// in each of [`CONFIRM_RUNS`] measurements: a real regression reproduces,
+/// a burst of host contention — which a multi-threaded body on a shared
+/// box cannot cancel against a single-threaded calibration body — does
+/// not.
+fn check_against_baseline(
+    report: &BenchReport,
+    baseline_path: &str,
+    samples: usize,
+) -> Vec<String> {
     let tolerance = std::env::var("GMF_BENCH_TOLERANCE")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
@@ -473,31 +535,56 @@ fn check_against_baseline(report: &BenchReport, baseline_path: &str) -> Vec<Stri
             None => failures.push(format!("counter {name}: missing from this run")),
         }
     }
-
-    // Machine-dependent timings: compare speed relative to the
-    // calibration entry so a uniformly slower runner cancels out.
-    let (Some(&calib_now), Some(&calib_base)) = (
-        report.timings_ns.get(CALIBRATION),
-        baseline.timings_ns.get(CALIBRATION),
-    ) else {
-        failures.push(format!("calibration timing {CALIBRATION} missing"));
-        return failures;
-    };
-    for (name, &expected) in &baseline.timings_ns {
-        if name == CALIBRATION {
-            continue;
-        }
-        let Some(&actual) = report.timings_ns.get(name) else {
+    for name in baseline.calibrated.keys() {
+        if !report.calibrated.contains_key(name) {
             failures.push(format!("timing {name}: missing from this run"));
-            continue;
-        };
-        let normalised = (actual as f64 / calib_now as f64) / (expected as f64 / calib_base as f64);
-        if normalised > tolerance {
-            failures.push(format!(
-                "timing {name}: {actual} ns is {normalised:.2}x the baseline's \
-                 calibrated expectation (> {tolerance:.2}x)"
-            ));
         }
     }
+
+    // Machine-dependent timings: compare each body's ratio to the
+    // calibration body it was sampled in alternation with, so a uniformly
+    // slower runner — or a load change mid-run — cancels out.
+    let mut slow = slow_timings(report, &baseline, tolerance);
+    for _ in 1..CONFIRM_RUNS {
+        if slow.is_empty() {
+            break;
+        }
+        eprintln!(
+            "re-measuring to confirm {} timing(s) over the bound",
+            slow.len()
+        );
+        // Contention on a shared host comes in bursts of seconds; let one
+        // pass before measuring again.
+        std::thread::sleep(CONFIRM_PAUSE);
+        let again = slow_timings(&measure(samples), &baseline, tolerance);
+        slow.retain(|name, _| again.contains_key(name));
+    }
+    failures.extend(slow.into_values());
     failures
+}
+
+/// The timings of `report` whose calibrated ratio exceeds the baseline's
+/// by more than `tolerance`, with their failure messages.
+fn slow_timings(
+    report: &BenchReport,
+    baseline: &BenchReport,
+    tolerance: f64,
+) -> BTreeMap<String, String> {
+    let mut slow = BTreeMap::new();
+    for (name, &expected) in &baseline.calibrated {
+        let Some(&actual) = report.calibrated.get(name) else {
+            continue;
+        };
+        let normalised = actual / expected;
+        if normalised > tolerance {
+            slow.insert(
+                name.clone(),
+                format!(
+                    "timing {name}: {actual:.4}x the calibration body is {normalised:.2}x the \
+                     baseline's {expected:.4}x (> {tolerance:.2}x in {CONFIRM_RUNS} runs)"
+                ),
+            );
+        }
+    }
+    slow
 }

@@ -2,16 +2,18 @@
 //!
 //! The dense core cuts the *cost per round* (interned interference tables,
 //! arena jitter reads, per-stage fixed-point reuse) and, on top, the number
-//! of per-flow analyses per round (dirty-flow skipping: a flow whose input
-//! jitter slots are exactly unchanged from the round that produced its
-//! cached report is not re-analysed).  This experiment pins both effects on
-//! the canonical workloads:
+//! of stage solves per round (exact-equality reuse: a stage whose inputs —
+//! the `extra_j` of its interferers — are exactly unchanged since its last
+//! solve reuses its responses; a flow whose stages all reuse is not
+//! re-analysed at all).  This experiment pins both effects on the
+//! canonical workloads:
 //!
-//! * per-workload rounds and per-flow analyses without skipping — the
-//!   classic Jacobi cost `rounds × flows`, derived, since every round of a
-//!   converged run analyses every flow — vs the engine's measured count;
+//! * per-workload rounds, per-flow analyses and stage solves without reuse
+//!   — the classic Jacobi costs `rounds × flows` and `rounds × stages`,
+//!   derived, since every round of a converged run analyses every flow —
+//!   vs the engine's measured counts;
 //! * a byte-identity check of every engine run against the keyed reference
-//!   oracle (`analyze_reference`), which never skips.
+//!   oracle (`analyze_reference`), which never reuses anything.
 //!
 //! Everything on stdout is deterministic (CI diffs repeated runs and
 //! `--threads 1` vs `4`); wall-clock measurements go to stderr.
@@ -64,7 +66,15 @@ fn main() {
         assert!(engine.report.converged, "{name}: every round completes");
         let full = engine.report.iterations * flows.len();
 
+        let stages: usize = flows
+            .bindings()
+            .iter()
+            .map(|b| 2 * b.route.n_hops() - 1)
+            .sum();
+        let full_stages = engine.report.iterations * stages;
+
         let saved = 100.0 * (1.0 - engine.flow_analyses as f64 / full as f64);
+        let saved_stages = 100.0 * (1.0 - engine.stage_analyses as f64 / full_stages as f64);
         rows.push(vec![
             name.to_string(),
             flows.len().to_string(),
@@ -72,13 +82,16 @@ fn main() {
             full.to_string(),
             engine.flow_analyses.to_string(),
             format!("{saved:.1}%"),
+            full_stages.to_string(),
+            engine.stage_analyses.to_string(),
+            format!("{saved_stages:.1}%"),
             "yes".to_string(),
         ]);
         eprintln!("{name}: analyze {:.3} ms, threads {threads}", secs * 1e3);
     }
 
     println!();
-    println!("per-flow pipeline analyses per cold analyze (skipping off vs on),");
+    println!("per-flow analyses and stage solves per cold analyze (reuse off vs on),");
     println!("with every report byte-identical to the keyed reference engine:");
     println!();
     print_table(
@@ -87,7 +100,10 @@ fn main() {
             "flows",
             "rounds",
             "analyses",
-            "analyses(skip)",
+            "analyses(reuse)",
+            "saved",
+            "stages",
+            "stages(reuse)",
             "saved",
             "reports==reference",
         ],

@@ -133,7 +133,7 @@ pub fn long_tail_line_scenario(
 /// `≈ 2·n_switches`-round transport tail, but a local flow's inputs
 /// stabilise as soon as the jitter front has passed its two switches —
 /// early-line locals sit unchanged for most of the iteration.  This is the
-/// workload where the engine's dirty-flow round skipping shows its
+/// workload where the engine's exact-equality stage reuse shows its
 /// steady-state value (E12): the deep tail keeps iterating while the
 /// stabilised locals are no longer re-analysed.
 pub fn mixed_depth_line_scenario(
@@ -245,9 +245,10 @@ pub fn synthetic_converging_set(n_flows: usize) -> (gmf_net::Topology, gmf_net::
 /// Unlike the single-sink converging star, the jitter dependency graph
 /// decomposes into per-sink regions coupled only through the (constant)
 /// first-hop jitters, and the regions converge after different numbers of
-/// rounds.  That staggered convergence is exactly what the dirty-flow
-/// round skipping exploits — E12 uses this set to measure the saving, and
-/// it is the static analogue of the E11 churn workload's topology.
+/// rounds.  That staggered convergence is exactly what the engine's
+/// exact-equality stage reuse exploits — E12 uses this set to measure the
+/// saving, and it is the static analogue of the E11 churn workload's
+/// topology.
 pub fn multi_sink_star_set(
     seed: u64,
     n_flows: usize,
@@ -605,32 +606,66 @@ pub fn run_survivability_sweep(
     }
 }
 
-/// Time `f` and return the median duration in nanoseconds over `samples`
-/// runs (fast bodies are batched so each sample spans at least ~100 µs).
-///
-/// This is the measurement behind the `bench_export` binary: a handful of
-/// samples and a median is enough for a CI trajectory without a
-/// statistics framework.
-pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
+/// Batch size that makes one timed sample of `f` span at least ~100 µs.
+fn batch_size<F: FnMut()>(f: &mut F) -> u64 {
     use std::time::Instant;
-    let samples = samples.max(1);
-
-    // Calibrate a batch size so one sample is long enough to time.
     let start = Instant::now();
     f();
     let once = start.elapsed().max(std::time::Duration::from_nanos(20));
-    let batch = (100_000u128 / once.as_nanos()).clamp(1, 1_000_000) as u64;
+    (100_000u128 / once.as_nanos()).clamp(1, 1_000_000) as u64
+}
 
-    let mut timings: Vec<u128> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        timings.push(start.elapsed().as_nanos() / u128::from(batch));
+/// Nanoseconds per iteration of `f` over one batch of `batch` calls.
+fn time_batch<F: FnMut()>(f: &mut F, batch: u64) -> u128 {
+    let start = std::time::Instant::now();
+    for _ in 0..batch {
+        f();
     }
+    start.elapsed().as_nanos() / u128::from(batch)
+}
+
+/// Time `f` and return the median duration in nanoseconds over `samples`
+/// runs (fast bodies are batched so each sample spans at least ~100 µs).
+///
+/// A handful of samples and a median is enough for a CI trajectory
+/// without a statistics framework.
+pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
+    let batch = batch_size(&mut f);
+    let mut timings: Vec<u128> = (0..samples.max(1))
+        .map(|_| time_batch(&mut f, batch))
+        .collect();
     timings.sort_unstable();
     timings[timings.len() / 2] as u64
+}
+
+/// [`median_ns`] of `f`, sampled in alternation with a `calibration` body:
+/// every sample times one batch of `calibration` and then one batch of `f`,
+/// back to back, and keeps the ratio of the two.  Returns the median ns
+/// per iteration of `f` and the median of the per-sample ratios
+/// `f / calibration`.
+///
+/// The ratio is the host-speed-normalised figure behind `bench_export`'s
+/// timing gate: a load change that slows the host slows both halves of a
+/// sample pair, so it cancels out of the ratio — unlike dividing by one
+/// calibration timing taken at another moment of the run.
+pub fn median_ns_calibrated<F: FnMut(), C: FnMut()>(
+    samples: usize,
+    mut f: F,
+    mut calibration: C,
+) -> (u64, f64) {
+    let batch = batch_size(&mut f);
+    let calibration_batch = batch_size(&mut calibration);
+    let mut timings = Vec::with_capacity(samples.max(1));
+    let mut ratios = Vec::with_capacity(samples.max(1));
+    for _ in 0..samples.max(1) {
+        let reference = time_batch(&mut calibration, calibration_batch).max(1);
+        let ns = time_batch(&mut f, batch);
+        timings.push(ns);
+        ratios.push(ns as f64 / reference as f64);
+    }
+    timings.sort_unstable();
+    ratios.sort_unstable_by(f64::total_cmp);
+    (timings[timings.len() / 2] as u64, ratios[ratios.len() / 2])
 }
 
 #[cfg(test)]

@@ -372,28 +372,6 @@ impl FlowSet {
         }
     }
 
-    /// Build a [`LinkIndex`]: every directed link mapped to the flows
-    /// transmitting on it, computed in one pass over the set.
-    ///
-    /// [`FlowSet::flows_on_link`] re-scans every flow (and walks every
-    /// route) on each call, which is fine for one-off queries but quadratic
-    /// when a caller needs the interferer list of every link — the analysis
-    /// context and the dependency-graph builder both do.  The index answers
-    /// the same query by slice lookup.  It is a snapshot: adding or
-    /// removing flows invalidates it.
-    pub fn link_index(&self) -> LinkIndex {
-        let mut map: std::collections::BTreeMap<(NodeId, NodeId), Vec<FlowId>> =
-            std::collections::BTreeMap::new();
-        // Bindings are in id order, so each per-link list is too — the
-        // same order `flows_on_link` produces.
-        for binding in &self.bindings {
-            for hop in binding.route.hops() {
-                map.entry((hop.from, hop.to)).or_default().push(binding.id);
-            }
-        }
-        LinkIndex { map }
-    }
-
     /// The set of distinct directed links used by at least one flow.
     pub fn used_links(&self) -> Vec<(NodeId, NodeId)> {
         let mut links: Vec<(NodeId, NodeId)> = self
@@ -404,29 +382,6 @@ impl FlowSet {
         links.sort_unstable();
         links.dedup();
         links
-    }
-}
-
-/// A precomputed directed-link → flows map (see [`FlowSet::link_index`]).
-#[derive(Debug, Clone, Default)]
-pub struct LinkIndex {
-    map: std::collections::BTreeMap<(NodeId, NodeId), Vec<FlowId>>,
-}
-
-impl LinkIndex {
-    /// `flows(N1, N2)` by lookup: ids of all flows transmitting on the
-    /// directed link `from → to`, in id order (identical to
-    /// [`FlowSet::flows_on_link`] on the set the index was built from).
-    pub fn flows_on_link(&self, from: NodeId, to: NodeId) -> &[FlowId] {
-        self.map
-            .get(&(from, to))
-            .map(Vec::as_slice)
-            .unwrap_or_default()
-    }
-
-    /// The distinct directed links used by at least one flow, in order.
-    pub fn links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.map.keys().copied()
     }
 }
 
@@ -500,26 +455,6 @@ mod tests {
         fs.validate_against(&t).unwrap();
         assert_eq!(fs.flows_through_node(n[2]).len(), 3);
         assert!(fs.flows_through_node(n[0]).is_empty());
-    }
-
-    #[test]
-    fn link_index_matches_flows_on_link() {
-        let (_, fs, n) = setup();
-        let index = fs.link_index();
-        for from in &n {
-            for to in &n {
-                assert_eq!(
-                    index.flows_on_link(*from, *to),
-                    fs.flows_on_link(*from, *to).as_slice(),
-                    "link ({from}, {to})"
-                );
-            }
-        }
-        assert_eq!(index.links().collect::<Vec<_>>(), fs.used_links());
-        // An empty set indexes to nothing.
-        let empty = FlowSet::new().link_index();
-        assert!(empty.flows_on_link(n[0], n[2]).is_empty());
-        assert_eq!(empty.links().count(), 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use builders::{
 };
 pub use components::FlowComponents;
 pub use error::NetError;
-pub use flowset::{FlowBinding, FlowSet, LinkIndex, Priority, PriorityPolicy};
+pub use flowset::{FlowBinding, FlowSet, Priority, PriorityPolicy};
 pub use link::{Link, LinkId, LinkProfile};
 pub use node::{Node, NodeId, NodeKind, SwitchConfig};
 pub use route::{Hop, Route};

@@ -178,78 +178,87 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_interleaved_with(threads, items, || (), |(), index, item| f(index, item))
+    let mut refs: Vec<&T> = items.iter().collect();
+    par_map_interleaved_with(threads, &mut refs, || (), |(), index, item| f(index, *item))
 }
 
-/// [`par_map_interleaved`] with per-worker mutable state: every worker
-/// builds one `S` via `init` and threads it through each item of its
-/// stride (the caller's inline path builds exactly one).
+/// [`par_map_interleaved`] over *mutable* items with per-worker mutable
+/// state: every worker builds one `S` via `init` and threads it through
+/// each item of its stride (the caller's inline path builds exactly one),
+/// and each item is handed to exactly one worker as `&mut T`.
 ///
-/// The motivating use is pooling scratch arenas — the analysis rounds hand
-/// each worker one reusable kernel arena instead of allocating per flow.
-/// Determinism is preserved as long as `f`'s *result* does not depend on
-/// the state's content (the state is storage, not an accumulator): the
-/// stride assignment and the deal back into input order are exactly those
-/// of [`par_map_interleaved`].
+/// The motivating uses are pooling scratch arenas — the analysis rounds
+/// hand each worker one reusable kernel arena instead of allocating per
+/// flow — and per-item memos the workers update in place.  Determinism is
+/// preserved as long as `f`'s *result* does not depend on the state's
+/// content (the state is storage, not an accumulator): the stride
+/// assignment and the deal back into input order are exactly those of
+/// [`par_map_interleaved`].
 pub fn par_map_interleaved_with<T, R, S, I, F>(
     threads: Threads,
-    items: &[T],
+    items: &mut [T],
     init: I,
     f: F,
 ) -> Vec<R>
 where
-    T: Sync,
+    T: Send,
     R: Send,
     I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
+    F: Fn(&mut S, usize, &mut T) -> R + Sync,
 {
     let n = items.len();
     let workers = threads.get().min(n);
     if workers <= 1 {
         let mut state = init();
         return items
-            .iter()
+            .iter_mut()
             .enumerate()
             .map(|(i, x)| f(&mut state, i, x))
             .collect();
+    }
+
+    // Deal the items into strides: worker `w` owns items `w, w+T, …`.
+    let mut strides: Vec<Vec<(usize, &mut T)>> = (0..workers)
+        .map(|_| Vec::with_capacity(n.div_ceil(workers)))
+        .collect();
+    for (index, item) in items.iter_mut().enumerate() {
+        strides[index % workers].push((index, item));
     }
 
     // Each worker produces its stride's results in stride order; the deal
     // below puts result `k` of worker `w` at index `w + k·workers`.  The
     // caller's thread takes the last stride inline instead of idling in
     // join, so `workers` threads means `workers - 1` spawns.
-    let mut strides: Vec<Vec<R>> = Vec::with_capacity(workers);
+    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let f = &f;
         let init = &init;
-        let handles: Vec<_> = (0..workers - 1)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    (w..n)
-                        .step_by(workers)
-                        .map(|index| f(&mut state, index, &items[index]))
-                        .collect::<Vec<R>>()
-                })
-            })
+        let run = move |stride: Vec<(usize, &mut T)>| {
+            let mut state = init();
+            stride
+                .into_iter()
+                .map(|(index, item)| f(&mut state, index, item))
+                .collect::<Vec<R>>()
+        };
+        // tidy-allow: unwrap invariant: workers >= 2 strides were dealt
+        let last_stride = strides.pop().expect("workers >= 2 strides were dealt");
+        let handles: Vec<_> = strides
+            .into_iter()
+            .map(|stride| scope.spawn(move || run(stride)))
             .collect();
-        let mut state = init();
-        let last: Vec<R> = (workers - 1..n)
-            .step_by(workers)
-            .map(|index| f(&mut state, index, &items[index]))
-            .collect();
+        let last = run(last_stride);
         for handle in handles {
             match handle.join() {
-                Ok(stride) => strides.push(stride),
+                Ok(stride) => results.push(stride),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        strides.push(last);
+        results.push(last);
     });
 
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    for (w, stride) in strides.into_iter().enumerate() {
+    for (w, stride) in results.into_iter().enumerate() {
         for (k, result) in stride.into_iter().enumerate() {
             slots[w + k * workers] = Some(result);
         }
@@ -404,25 +413,29 @@ mod tests {
     fn stateful_interleaved_map_matches_sequential_at_any_thread_count() {
         // The state is a reusable scratch buffer: correctness must not
         // depend on which worker (and hence which buffer) serves an item.
+        // Each item is handed out once, mutably: the in-place update must
+        // land on every item exactly once at any thread count.
         let items: Vec<usize> = (0..103).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 4, 8, 16, 200] {
+            let mut updated = items.clone();
             let out = par_map_interleaved_with(
                 Threads::new(threads),
-                &items,
+                &mut updated,
                 Vec::<usize>::new,
-                |scratch, _, &x| {
+                |scratch, _, x| {
                     scratch.clear();
-                    scratch.extend((0..x.min(7)).map(|_| x));
-                    x * x
+                    scratch.extend((0..(*x).min(7)).map(|_| *x));
+                    *x += 1;
+                    (*x - 1) * (*x - 1)
                 },
             );
             assert_eq!(out, expected, "threads = {threads}");
+            assert!(updated.iter().zip(&items).all(|(u, i)| *u == i + 1));
         }
-        let empty: Vec<i32> = Vec::new();
+        let mut empty: Vec<i32> = Vec::new();
         assert!(
-            par_map_interleaved_with(Threads::new(8), &empty, || (), |(), _, x: &i32| *x)
-                .is_empty()
+            par_map_interleaved_with(Threads::new(8), &mut empty, || (), |(), _, x| *x).is_empty()
         );
     }
 

@@ -20,10 +20,10 @@
 //! and reused, so a steady-state simulation performs no allocator calls
 //! in the scheduler at all.
 //!
-//! [`ReferenceEventQueue`] keeps the original `BinaryHeap` implementation
-//! as an executable specification; a property test drives both in lockstep
-//! over random schedules (including ties and interleaved pops) and demands
-//! byte-identical pop sequences.
+//! The test module keeps the original `BinaryHeap` implementation
+//! (`ReferenceEventQueue`) as an executable specification; a property
+//! test drives both in lockstep over random schedules (including ties and
+//! interleaved pops) and demands byte-identical pop sequences.
 
 use crate::faults::FaultKind;
 use crate::packet::EthFrame;
@@ -430,52 +430,47 @@ impl EventQueue {
     }
 }
 
-/// The original `BinaryHeap` event queue, kept as the executable
-/// specification of the (time, insertion-sequence) pop order.  The
-/// lockstep property test drives it against [`EventQueue`] on random
-/// schedules; production code uses the calendar queue.
-#[derive(Debug, Default)]
-pub struct ReferenceEventQueue {
-    heap: BinaryHeap<Event>,
-    next_sequence: u64,
-}
-
-impl ReferenceEventQueue {
-    /// Create an empty queue.
-    pub fn new() -> Self {
-        ReferenceEventQueue::default()
-    }
-
-    /// Schedule `kind` to fire at `time`.
-    pub fn schedule(&mut self, time: Time, kind: EventKind) {
-        let sequence = self.next_sequence;
-        self.next_sequence += 1;
-        self.heap.push(Event {
-            time,
-            sequence,
-            kind,
-        });
-    }
-
-    /// Pop the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop()
-    }
-
-    /// Number of events currently pending.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original `BinaryHeap` event queue, kept as the executable
+    /// specification of the (time, insertion-sequence) pop order.  The
+    /// lockstep property test drives it against [`EventQueue`] on random
+    /// schedules; production code uses the calendar queue.
+    #[derive(Debug, Default)]
+    struct ReferenceEventQueue {
+        heap: BinaryHeap<Event>,
+        next_sequence: u64,
+    }
+
+    impl ReferenceEventQueue {
+        /// Create an empty queue.
+        fn new() -> Self {
+            ReferenceEventQueue::default()
+        }
+
+        /// Schedule `kind` to fire at `time`.
+        fn schedule(&mut self, time: Time, kind: EventKind) {
+            let sequence = self.next_sequence;
+            self.next_sequence += 1;
+            self.heap.push(Event {
+                time,
+                sequence,
+                kind,
+            });
+        }
+
+        /// Pop the earliest event.
+        fn pop(&mut self) -> Option<Event> {
+            self.heap.pop()
+        }
+
+        /// Number of events currently pending.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     fn dispatch(node: usize) -> EventKind {
         EventKind::CpuDispatch {

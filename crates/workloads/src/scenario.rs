@@ -46,9 +46,13 @@ impl ScenarioFile {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parse from JSON.
+    /// Parse from JSON.  Every route is checked against the file's own
+    /// topology ([`ScenarioFile::validate`]): a file that names an invalid
+    /// route fails to load with the route's [`gmf_net::NetError`] message.
     pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
+        let file: ScenarioFile = serde_json::from_str(json)?;
+        file.validate().map_err(serde::de::Error::custom)?;
+        Ok(file)
     }
 
     /// Write the scenario to a file.
@@ -76,6 +80,7 @@ impl ScenarioFile {
 mod tests {
     use super::*;
     use crate::paper::paper_scenario;
+    use gmf_analysis::{AnalysisConfig, AnalysisError};
 
     #[test]
     fn json_roundtrip_preserves_structure() {
@@ -183,6 +188,79 @@ mod tests {
         assert!(ScenarioFile::from_json(&paper_json_with("priority", "7")).is_ok());
         let err = ScenarioFile::from_json(&paper_json_with("priority", "9")).unwrap_err();
         assert!(err.to_string().contains("priority 9"), "{err}");
+    }
+
+    /// The paper scenario's JSON with the node list of the first route
+    /// (the video flow's `[0, 4, 6, 3]`) replaced by `nodes`.
+    fn paper_json_with_route(nodes: &str) -> String {
+        let (s, _) = paper_scenario();
+        let json = ScenarioFile::new("paper", "example", s.topology, s.flows)
+            .to_json()
+            .unwrap();
+        let route = json.find("\"route\"").unwrap();
+        let key = "\"nodes\": ";
+        let start = route + json[route..].find(key).unwrap() + key.len();
+        let end = start + json[start..].find(']').unwrap() + 1;
+        format!("{}{nodes}{}", &json[..start], &json[end..])
+    }
+
+    /// A scenario file's fields without the load-time route check.
+    #[derive(Deserialize)]
+    struct Unchecked {
+        #[allow(dead_code)]
+        name: String,
+        #[allow(dead_code)]
+        description: String,
+        topology: Topology,
+        flows: FlowSet,
+    }
+
+    /// The topology and flow set of a scenario JSON, deserialized without
+    /// [`ScenarioFile::from_json`]'s route check — the path a caller takes
+    /// when it builds the two parts itself.
+    fn parts_of(json: &str) -> (Topology, FlowSet) {
+        let file: Unchecked = serde_json::from_str(json).unwrap();
+        (file.topology, file.flows)
+    }
+
+    #[test]
+    fn invalid_route_in_a_scenario_file_is_rejected() {
+        assert!(ScenarioFile::from_json(&paper_json_with_route("[0, 4, 6, 3]")).is_ok());
+        let err = ScenarioFile::from_json(&paper_json_with_route("[]")).unwrap_err();
+        assert!(err.to_string().contains("at least two nodes"), "{err}");
+        let err =
+            ScenarioFile::from_json(&paper_json_with_route("[0, 4, 6, 4, 6, 3]")).unwrap_err();
+        assert!(err.to_string().contains("more than once"), "{err}");
+    }
+
+    #[test]
+    fn analysis_rejects_an_empty_route() {
+        // Used to panic with an index out of bounds building the context.
+        let (topology, flows) = parts_of(&paper_json_with_route("[]"));
+        let result = gmf_analysis::analyze(&topology, &flows, &AnalysisConfig::paper());
+        assert!(
+            matches!(
+                result,
+                Err(AnalysisError::Net(gmf_net::NetError::RouteTooShort))
+            ),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn analysis_rejects_a_looping_route() {
+        // Used to report the scenario schedulable.
+        let (topology, flows) = parts_of(&paper_json_with_route("[0, 4, 6, 4, 6, 3]"));
+        let result = gmf_analysis::analyze(&topology, &flows, &AnalysisConfig::paper());
+        assert!(
+            matches!(
+                result,
+                Err(AnalysisError::Net(gmf_net::NetError::RouteRevisitsNode(
+                    gmf_net::NodeId(4)
+                )))
+            ),
+            "{result:?}"
+        );
     }
 
     #[test]
